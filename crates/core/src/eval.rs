@@ -79,11 +79,13 @@ pub enum QuotientPolicy {
 
 /// Lazily-built state of the [`QuotientPolicy::Expand`] fallback: the
 /// orbit-expanded virtual universe plus its own formula memo (virtual
-/// satisfaction sets, disjoint from the representative-level memo).
+/// satisfaction sets, disjoint from the representative-level memo) and
+/// its common-knowledge components.
 #[derive(Debug)]
 struct ExpansionState {
     xu: ExpandedUniverse,
     xmemo: HashMap<Formula, CompSet>,
+    components: Option<Components>,
 }
 
 /// The cached common-knowledge reachability structure: per-computation
@@ -93,6 +95,40 @@ struct ExpansionState {
 struct Components {
     labels: Vec<u32>,
     sets: Vec<CompSet>,
+}
+
+impl Components {
+    /// The components of `dsu`'s partition of members `0..n`: each
+    /// member is labeled with its root, and each component's member set
+    /// is materialized once, so `Common` evaluations are pure word-level
+    /// set algebra.
+    fn from_dsu(mut dsu: Dsu) -> Self {
+        let n = dsu.parent.len();
+        let labels: Vec<u32> = (0..n).map(|i| dsu.find(i) as u32).collect();
+        let mut set_index: HashMap<u32, usize> = HashMap::new();
+        let mut sets: Vec<CompSet> = Vec::new();
+        for (i, &label) in labels.iter().enumerate() {
+            let next = sets.len();
+            let k = *set_index.entry(label).or_insert_with(|| {
+                sets.push(CompSet::new(n));
+                next
+            });
+            sets[k].insert(i);
+        }
+        Components { labels, sets }
+    }
+
+    /// The satisfaction set of `C⟨sat⟩`: a component satisfies iff all
+    /// its members do — word-parallel subset tests over the member sets.
+    fn common(&self, sat: &CompSet) -> CompSet {
+        let mut s = CompSet::new(self.labels.len());
+        for set in &self.sets {
+            if set.is_subset(sat) {
+                s.union_with(set);
+            }
+        }
+        s
+    }
 }
 
 /// A snapshot of the evaluator's memoized state, for diagnostics and
@@ -234,9 +270,8 @@ impl SatCacheStats {
 /// accounting.
 const SAT_ENTRY_OVERHEAD_BYTES: usize = 96;
 
-/// Default [`SatCache`] resident-bytes capacity: 64 MiB, matching the
-/// query service's default high-water mark so an untuned service never
-/// warns before the cache starts evicting.
+/// Default [`SatCache`] resident-bytes capacity: 64 MiB, past which
+/// publishing evicts least-recently-served entries.
 pub const DEFAULT_SAT_CACHE_CAPACITY: usize = 64 * 1024 * 1024;
 
 impl SatCache {
@@ -858,17 +893,7 @@ impl<'u> Evaluator<'u> {
             }
             Formula::Common(g) => {
                 let sg = self.sat_set(g);
-                // a component satisfies iff all its members satisfy g:
-                // word-parallel subset tests over the cached member sets
-                let mut s = CompSet::new(n);
-                self.components();
-                let comps = self.components.as_ref().expect("just initialized");
-                for set in &comps.sets {
-                    if set.is_subset(&sg) {
-                        s.union_with(set);
-                    }
-                }
-                s
+                self.components().common(&sg)
             }
         }
     }
@@ -911,6 +936,7 @@ impl<'u> Evaluator<'u> {
             self.expansion = Some(ExpansionState {
                 xu: ExpandedUniverse::new(orbits),
                 xmemo: HashMap::new(),
+                components: None,
             });
         }
         // detach the expansion state so the recursion below may re-enter
@@ -1019,34 +1045,19 @@ impl<'u> Evaluator<'u> {
                 Formula::Common(g) => {
                     let sg = self.expand_compute(st, g);
                     // connected components of ⋃ₚ [p] over the virtual
-                    // members — the full universe's reachability
-                    let mut dsu = Dsu::new(n);
-                    for pi in 0..self.universe.system_size() {
-                        let p = ProcessSet::singleton(ProcessId::new(pi));
-                        for set in st.xu.member_sets(orbits, p).iter() {
-                            let mut prev: Option<usize> = None;
-                            for i in set.iter() {
-                                if let Some(j) = prev {
-                                    dsu.union(j, i);
-                                }
-                                prev = Some(i);
+                    // members — the full universe's reachability, built
+                    // once per expansion
+                    if st.components.is_none() {
+                        let mut dsu = Dsu::new(n);
+                        for pi in 0..self.universe.system_size() {
+                            let p = ProcessSet::singleton(ProcessId::new(pi));
+                            for set in st.xu.member_sets(orbits, p).iter() {
+                                dsu.chain(set.iter());
                             }
                         }
+                        st.components = Some(Components::from_dsu(dsu));
                     }
-                    let mut comp_sets: HashMap<usize, CompSet> = HashMap::new();
-                    for vid in 0..n {
-                        comp_sets
-                            .entry(dsu.find(vid))
-                            .or_insert_with(|| CompSet::new(n))
-                            .insert(vid);
-                    }
-                    let mut s = CompSet::new(n);
-                    for set in comp_sets.values() {
-                        if set.is_subset(&sg) {
-                            s.union_with(set);
-                        }
-                    }
-                    s
+                    st.components.as_ref().expect("just built").common(&sg)
                 }
             }
         };
@@ -1069,10 +1080,9 @@ impl<'u> Evaluator<'u> {
     /// Connected components of `⋃ₚ [p]` over the universe — the
     /// reachability relation underlying common knowledge. Component labels
     /// are representative indices.
-    fn components(&mut self) -> &[u32] {
+    fn components(&mut self) -> &Components {
         if self.components.is_none() {
-            let n = self.universe.len();
-            let mut dsu = Dsu::new(n);
+            let mut dsu = Dsu::new(self.universe.len());
             for pi in 0..self.universe.system_size() {
                 let p = ProcessSet::singleton(ProcessId::new(pi));
                 if let Some(orbit) = &self.sym {
@@ -1081,46 +1091,24 @@ impl<'u> Evaluator<'u> {
                     // sit in one class's orbit set.
                     let classes = orbit.classes(p);
                     for class in 0..classes.class_count() {
-                        let mut prev: Option<usize> = None;
-                        for i in classes.orbit_set(class).iter() {
-                            if let Some(j) = prev {
-                                dsu.union(j, i);
-                            }
-                            prev = Some(i);
-                        }
+                        dsu.chain(classes.orbit_set(class).iter());
                     }
-                    continue;
-                }
-                let classes = self.iso.classes(p);
-                for class in 0..classes.class_count() {
-                    let members = classes.members(class);
-                    for w in members.windows(2) {
-                        dsu.union(w[0] as usize, w[1] as usize);
+                } else {
+                    let classes = self.iso.classes(p);
+                    for class in 0..classes.class_count() {
+                        dsu.chain(classes.members(class).iter().map(|&i| i as usize));
                     }
                 }
             }
-            let labels: Vec<u32> = (0..n).map(|i| dsu.find(i) as u32).collect();
-            // materialize each component's member set once, so Common
-            // evaluations are pure word-level set algebra
-            let mut set_index: HashMap<u32, usize> = HashMap::new();
-            let mut sets: Vec<CompSet> = Vec::new();
-            for (i, &label) in labels.iter().enumerate() {
-                let next = sets.len();
-                let k = *set_index.entry(label).or_insert_with(|| {
-                    sets.push(CompSet::new(n));
-                    next
-                });
-                sets[k].insert(i);
-            }
-            self.components = Some(Components { labels, sets });
+            self.components = Some(Components::from_dsu(dsu));
         }
-        &self.components.as_ref().expect("just initialized").labels
+        self.components.as_ref().expect("just initialized")
     }
 
     /// Public view of the common-knowledge components (for diagnostics and
     /// the reproduction report): the component label of each computation.
     pub fn common_knowledge_components(&mut self) -> Vec<u32> {
-        self.components().to_vec()
+        self.components().labels.clone()
     }
 
     /// Clears **all** memoized state: the formula→satisfaction-set memo
@@ -1132,8 +1120,10 @@ impl<'u> Evaluator<'u> {
         self.components = None;
         if let Some(st) = &mut self.expansion {
             // the virtual universe is determined by the orbits and may
-            // stay; its formula memo is logically part of the sat memo
+            // stay; its formula memo and components are logically part
+            // of the memo cleared above
             st.xmemo.clear();
+            st.components = None;
         }
     }
 
@@ -1171,6 +1161,18 @@ impl Dsu {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
             self.parent[ra] = rb;
+        }
+    }
+
+    /// Puts every member of `class` into one component, uniting each
+    /// member with the one before it.
+    fn chain(&mut self, class: impl IntoIterator<Item = usize>) {
+        let mut prev: Option<usize> = None;
+        for i in class {
+            if let Some(j) = prev {
+                self.union(j, i);
+            }
+            prev = Some(i);
         }
     }
 }

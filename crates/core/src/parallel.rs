@@ -2,33 +2,41 @@
 //!
 //! [`enumerate_sharded`] produces the same universe as the sequential
 //! reference [`enumerate`](crate::enumerate::enumerate) — byte-identical
-//! [`CompId`](crate::CompId) ordering, event ids and payload table — but
-//! splits the work in three phases:
+//! [`CompId`](crate::CompId) ordering, event ids and payload table.
 //!
-//! 1. **Prefix expansion** (coordinator): the protocol tree is explored
-//!    sequentially down to a split depth, emitting compact pre-order node
-//!    records and one *task* per frontier node.
-//! 2. **Partitioned-id exploration** (workers): tasks are pushed onto a
-//!    shared queue (a `crossbeam` channel; the vendored stand-in's
-//!    receiver is single-consumer, so it sits behind a `parking_lot`
-//!    mutex) from which worker threads pull dynamically — fast subtrees
-//!    free their worker to steal the next pending frontier node. Each
-//!    task owns a disjoint **id partition**: the worker interns the
-//!    events it discovers into a task-local id table (dense `u32` ids,
-//!    meaningful only within that partition), so exploration never
-//!    touches shared state beyond the atomic budget. Workers emit
-//!    pre-order node records in bounded **batches**
-//!    ([`ShardConfig::batch_nodes`]) as they go.
-//! 3. **Streaming merge + renumbering** (coordinator, concurrent with
-//!    the workers): batches are consumed in **splice order** — the exact
-//!    pre-order position of each task's frontier node — as tasks finish,
-//!    instead of buffering every record until exploration ends. Each
-//!    batch's partition table is **renumbered** into the single global
-//!    event space on arrival (one intern per *unique* event per
-//!    partition, not per node), which reproduces the sequential engine's
-//!    event-id assignment exactly; node records then replay through a
-//!    depth-truncated path stack and enter the universe via trusted fast
-//!    paths.
+//! **Prefix frontier, then extend.** A universe is prefix-closed, so one
+//! mechanism builds every universe: growing a [`Frontier`]. One loop
+//! replays the frontier's pre-order journal through the merge and, at
+//! each node of its leaf cut, splices in the subtree explored below that
+//! leaf. [`extend_sharded`] grows a checkpoint the caller kept.
+//! [`enumerate_sharded`] grows the empty (depth-0) frontier to a split
+//! depth on the calling thread, checkpoints that prefix, and then grows
+//! the prefix frontier to the horizon; the prefix's leaves are the
+//! *tasks*.
+//!
+//! - **Partitioned-id exploration.** An explorer moves to a leaf by
+//!   undoing to the common prefix of the two paths and applying the
+//!   rest, then walks the subtree below it. It pushes pre-order node
+//!   records into a buffer of at most [`ShardConfig::batch_nodes`]
+//!   records and interns the events it discovers into its own **id
+//!   partition**: dense `u32` ids, meaningful only within that
+//!   partition, so exploration touches no shared state beyond the atomic
+//!   budget. With several shards, the tasks go onto a shared queue (a
+//!   `crossbeam` channel; the vendored stand-in's receiver is
+//!   single-consumer, so it sits behind a `parking_lot` mutex) from which
+//!   worker threads pull dynamically. Each task gets a fresh partition,
+//!   and every full buffer ships as one **batch**. With one shard, a
+//!   single explorer visits the leaves in splice order with one partition
+//!   for the whole run, and each buffer is merged in place.
+//! - **Streaming merge + renumbering** (the calling thread, concurrent
+//!   with the workers): batches are consumed in **splice order**, the
+//!   pre-order position of each task's leaf, as they arrive. Each batch's
+//!   new partition-table entries are **renumbered** into the single
+//!   global event space in one pass (one intern per *unique* event per
+//!   partition, not per node), which reproduces the sequential engine's
+//!   event-id assignment exactly. Node records then replay through a
+//!   depth-truncated path stack and enter the universe via trusted fast
+//!   paths.
 //!
 //! Peak merge memory is bounded by the batches that have *finished but
 //! not yet spliced* (out-of-order completions) plus the batch being
@@ -41,8 +49,8 @@
 //! reorder buffer past the cap; head-task batches throttle against an
 //! equally-sized slot window, so a fast producer cannot pile them into
 //! the result channel ahead of a slow merge either. With one shard
-//! nothing is buffered at all: subtrees are explored lazily at their
-//! splice points.
+//! nothing is buffered at all: each batch is merged the moment it is
+//! produced.
 //! [`EnumerationStats`] reports the observed bound
 //! (`peak_buffered_bytes`, `largest_batch_bytes`) and the active merge
 //! time (`merge_wall_ms`).
@@ -97,8 +105,9 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Copy, Debug)]
 pub struct ShardConfig {
     /// Number of worker threads. `1` runs the whole pipeline on the
-    /// calling thread (no threads are spawned, and subtrees are explored
-    /// lazily at their splice points, so nothing is ever buffered).
+    /// calling thread (no threads are spawned, and each subtree is
+    /// explored at its splice point and merged as it goes, so no batch is
+    /// ever parked).
     pub shards: usize,
     /// Tree depth at which frontier nodes become worker tasks; `None`
     /// picks a small default. The output is independent of this knob —
@@ -348,6 +357,19 @@ enum FrontierMode {
     Quotient,
 }
 
+impl FrontierMode {
+    /// The mode a config selects.
+    fn of(config: &ShardConfig) -> Self {
+        if config.quotient {
+            FrontierMode::Quotient
+        } else if config.dedupe {
+            FrontierMode::Dedupe
+        } else {
+            FrontierMode::Exact
+        }
+    }
+}
+
 /// One journaled pre-order node of a checkpointed run: its depth (events
 /// in the computation), the global id of its edge event in the producing
 /// run's event space, and whether the merge kept it as a universe member
@@ -396,6 +418,20 @@ pub struct Frontier {
 }
 
 impl Frontier {
+    /// The depth-0 frontier every enumeration grows from: the root alone.
+    fn root(system_size: usize, mode: FrontierMode) -> Self {
+        Frontier {
+            system_size,
+            depth: 0,
+            mode,
+            generation: 0,
+            events: Vec::new(),
+            payloads: HashMap::new(),
+            records: Vec::new(),
+            multiplicities: Vec::new(),
+        }
+    }
+
     /// The horizon (maximum events per computation) the producing run
     /// explored to; extensions must use a horizon at least this deep.
     #[must_use]
@@ -432,11 +468,11 @@ impl Frontier {
     }
 }
 
-/// A partition-local event id: a dense index into one task's id table
-/// ([`EventDef`] list). Partitions are disjoint by construction — a local
-/// id is meaningful only together with its partition, and the streaming
-/// merge renumbers each partition into the global [`EventId`] space at
-/// its splice point.
+/// A partition-local event id: a dense index into one explorer's id
+/// table ([`EventDef`] list). Partitions are disjoint by construction — a
+/// local id is meaningful only together with its partition, and the
+/// streaming merge renumbers each partition into the global [`EventId`]
+/// space as its batches arrive.
 type LocalId = u32;
 
 /// Sentinel for "no previous event on this process".
@@ -465,9 +501,9 @@ struct EventDef {
     kind: DefKind,
 }
 
-/// One protocol step, as recorded in task *paths*: enough to replay the
-/// edge without consulting the protocol again. (`PartialEq` lets the
-/// extension's leaf walker find the common prefix of two paths.)
+/// One protocol step, as recorded in leaf *paths*: enough to replay the
+/// edge without consulting the protocol again. (`PartialEq` lets
+/// [`Explorer::goto`] find the common prefix of two paths.)
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum StepDesc {
     /// A spontaneous step by `p`.
@@ -487,15 +523,8 @@ struct NodeRec {
     local: LocalId,
 }
 
-/// Coordinator-side prefix entry: a node of the shallow tree, or a
-/// splice point where a worker task's subtree belongs.
-enum Entry {
-    Node(NodeRec),
-    Task(usize),
-}
-
-/// A frontier subtree for a worker: the step path from the root to the
-/// frontier node (the node itself is recorded by the coordinator).
+/// A leaf subtree for a worker: the step path from the root to the leaf
+/// (the leaf itself is replayed from the frontier by [`drive`]).
 #[derive(Debug)]
 struct Task {
     id: usize,
@@ -514,10 +543,14 @@ struct TaskBatch {
     credited: bool,
 }
 
+/// The size a batch of `defs` and `nodes` is accounted at.
+fn batch_bytes(defs: &[EventDef], nodes: &[NodeRec]) -> usize {
+    std::mem::size_of_val(defs) + std::mem::size_of_val(nodes)
+}
+
 impl TaskBatch {
     fn approx_bytes(&self) -> usize {
-        self.defs.len() * std::mem::size_of::<EventDef>()
-            + self.nodes.len() * std::mem::size_of::<NodeRec>()
+        batch_bytes(&self.defs, &self.nodes)
     }
 }
 
@@ -702,17 +735,12 @@ impl ReorderGate {
     }
 }
 
-/// Undo data for one applied spontaneous step.
-struct SpontUndo {
-    saved_actions: Vec<ProtoAction>,
-    saved_last: LocalId,
-}
-
-/// Undo data for one applied receive.
-struct RecvUndo {
-    saved_actions: Vec<ProtoAction>,
-    saved_last: LocalId,
-    entry: InFlight,
+/// Undo data for one applied step: the stepping process's cached action
+/// list and previous last event, plus the message a receive consumed.
+struct Undo {
+    actions: Vec<ProtoAction>,
+    last: LocalId,
+    received: Option<InFlight>,
 }
 
 /// An in-flight message during exploration, with the local id of its
@@ -725,22 +753,38 @@ struct InFlight {
     send: LocalId,
 }
 
-/// Buffer accumulating one task's outgoing records between flushes.
+/// Node records an explorer has buffered since its last flush.
 struct BatchBuf {
     nodes: Vec<NodeRec>,
-    /// Partition-table entries already shipped in earlier batches.
+    /// Partition-table entries already handed out by earlier flushes.
     defs_sent: usize,
     limit: usize,
 }
 
+impl BatchBuf {
+    fn new(limit: usize) -> Self {
+        BatchBuf {
+            nodes: Vec::new(),
+            defs_sent: 0,
+            limit: limit.max(1),
+        }
+    }
+}
+
+/// Where an explorer's buffered records go: called with the
+/// partition-table entries added since the previous flush and the
+/// records, which the sink takes or clears.
+type Sink<'s> = dyn FnMut(&[EventDef], &mut Vec<NodeRec>) + 's;
+
 /// Protocol-side depth-first explorer with per-process action caching
 /// and **partition-local event interning**: every event it touches gets
-/// a dense id in the task's own table, allocated at first encounter in
-/// subtree pre-order, with no cross-task coordination.
+/// a dense id in its own table, allocated at first encounter, with no
+/// cross-thread coordination. Global event ids appear only later, when
+/// the merge renumbers the partition's table as its batches arrive.
 ///
-/// Shared by the coordinator's prefix expansion and the workers' subtree
-/// exploration; global event ids appear only later, when the merge
-/// renumbers each partition at its splice point.
+/// The explorer sits at one node of the protocol tree: [`Explorer::goto`]
+/// moves it to a leaf of a frontier, and [`Explorer::explore`] walks the
+/// subtree below.
 struct Explorer<'a, P: ?Sized> {
     protocol: &'a P,
     budget: &'a Budget,
@@ -755,6 +799,8 @@ struct Explorer<'a, P: ?Sized> {
     defs: Vec<EventDef>,
     intern: HashMap<(ProcessId, LocalId, DefKind), LocalId>,
     last_local: Vec<LocalId>,
+    /// The steps from the root to the current node, with their undo data.
+    path: Vec<(StepDesc, Undo)>,
 }
 
 impl<'a, P: Protocol + ?Sized> Explorer<'a, P> {
@@ -774,6 +820,7 @@ impl<'a, P: Protocol + ?Sized> Explorer<'a, P> {
             defs: Vec::new(),
             intern: HashMap::new(),
             last_local: vec![NO_EVENT; n],
+            path: Vec::new(),
         }
     }
 
@@ -791,21 +838,46 @@ impl<'a, P: Protocol + ?Sized> Explorer<'a, P> {
         id
     }
 
-    /// Applies a spontaneous step, returning the undo data and the
-    /// edge's partition-local event id.
-    fn apply_spont(&mut self, p: ProcessId, action: ProtoAction) -> (SpontUndo, LocalId) {
-        let pi = p.index();
-        let (kind, step) = match action {
-            ProtoAction::Send { to, payload } => (
+    /// Applies one step, returning the undo data and the edge's
+    /// partition-local event id.
+    // always inlined (as is `undo`): at the exploration loop's call sites
+    // the step kind is known, so the dispatch on it folds away
+    #[inline(always)]
+    fn apply(&mut self, step: StepDesc) -> (Undo, LocalId) {
+        let (p, kind, local_step, received) = match step {
+            StepDesc::Spont {
+                p,
+                action: ProtoAction::Send { to, payload },
+            } => (
+                p,
                 DefKind::Send { to, payload },
                 LocalStep::Sent { to, payload },
+                None,
             ),
-            ProtoAction::Internal { action } => {
-                (DefKind::Internal { action }, LocalStep::Did { action })
+            StepDesc::Spont {
+                p,
+                action: ProtoAction::Internal { action },
+            } => (
+                p,
+                DefKind::Internal { action },
+                LocalStep::Did { action },
+                None,
+            ),
+            StepDesc::Recv { slot } => {
+                let entry = self.in_flight.remove(slot as usize);
+                (
+                    entry.to,
+                    DefKind::Recv { send: entry.send },
+                    LocalStep::Received {
+                        from: entry.from,
+                        payload: entry.payload,
+                    },
+                    Some(entry),
+                )
             }
         };
         let local = self.intern_local(p, kind);
-        if let ProtoAction::Send { to, payload } = action {
+        if let DefKind::Send { to, payload } = kind {
             self.in_flight.push(InFlight {
                 from: p,
                 to,
@@ -813,212 +885,104 @@ impl<'a, P: Protocol + ?Sized> Explorer<'a, P> {
                 send: local,
             });
         }
-        self.views[pi].push_step(step);
-        let saved_last = std::mem::replace(&mut self.last_local[pi], local);
-        let saved_actions = std::mem::replace(
+        let pi = p.index();
+        self.views[pi].push_step(local_step);
+        let last = std::mem::replace(&mut self.last_local[pi], local);
+        let actions = std::mem::replace(
             &mut self.actions[pi],
             self.protocol.actions(p, &self.views[pi]),
         );
         (
-            SpontUndo {
-                saved_actions,
-                saved_last,
+            Undo {
+                actions,
+                last,
+                received,
             },
             local,
         )
     }
 
-    fn undo_spont(&mut self, p: ProcessId, action: ProtoAction, undo: SpontUndo) {
-        let pi = p.index();
-        self.actions[pi] = undo.saved_actions;
-        self.last_local[pi] = undo.saved_last;
-        self.views[pi].pop_step();
-        if matches!(action, ProtoAction::Send { .. }) {
-            self.in_flight.pop();
-        }
-    }
-
-    /// Applies the receive at in-flight `slot`, returning the undo data
-    /// and the edge's partition-local event id.
-    fn apply_recv(&mut self, slot: usize) -> (RecvUndo, LocalId) {
-        let entry = self.in_flight.remove(slot);
-        let ti = entry.to.index();
-        let local = self.intern_local(entry.to, DefKind::Recv { send: entry.send });
-        self.views[ti].push_step(LocalStep::Received {
-            from: entry.from,
-            payload: entry.payload,
-        });
-        let saved_last = std::mem::replace(&mut self.last_local[ti], local);
-        let saved_actions = std::mem::replace(
-            &mut self.actions[ti],
-            self.protocol.actions(entry.to, &self.views[ti]),
-        );
-        (
-            RecvUndo {
-                saved_actions,
-                saved_last,
-                entry,
-            },
-            local,
-        )
-    }
-
-    fn undo_recv(&mut self, slot: usize, undo: RecvUndo) {
-        let ti = undo.entry.to.index();
-        self.actions[ti] = undo.saved_actions;
-        self.last_local[ti] = undo.saved_last;
-        self.views[ti].pop_step();
-        self.in_flight.insert(slot, undo.entry);
-    }
-
-    /// Replays a task path from the root so subtree exploration starts
-    /// from the frontier node's state (interning the path's events into
-    /// this partition as it goes).
-    fn replay(&mut self, path: &[StepDesc]) {
-        for &desc in path {
-            match desc {
-                StepDesc::Spont { p, action } => {
-                    self.apply_spont(p, action);
+    /// Reverts `step`, the most recently applied step.
+    #[inline(always)]
+    fn undo(&mut self, step: StepDesc, undo: Undo) {
+        let p = match (step, undo.received) {
+            (StepDesc::Spont { p, action }, _) => {
+                if matches!(action, ProtoAction::Send { .. }) {
+                    self.in_flight.pop();
                 }
-                StepDesc::Recv { slot } => {
-                    self.apply_recv(slot as usize);
-                }
+                p
             }
-        }
-    }
-
-    /// Coordinator phase: expand to `split` depth, emitting prefix
-    /// entries and frontier tasks. `path` carries the steps from the
-    /// root to the current node.
-    fn explore_prefix(
-        &mut self,
-        depth: usize,
-        split: usize,
-        path: &mut Vec<StepDesc>,
-        entries: &mut Vec<Entry>,
-        tasks: &mut Vec<Task>,
-    ) -> Result<(), ()> {
-        if depth >= self.max_events {
-            return Ok(());
-        }
-        if depth == split {
-            let id = tasks.len();
-            tasks.push(Task {
-                id,
-                path: path.clone(),
-            });
-            entries.push(Entry::Task(id));
-            return Ok(());
-        }
-        self.for_each_child(
-            |ex, desc, local, entries| {
-                ex.budget.charge()?;
-                entries.push(Entry::Node(NodeRec {
-                    depth: (depth + 1) as u32,
-                    local,
-                }));
-                path.push(desc);
-                let r = ex.explore_prefix(depth + 1, split, path, entries, tasks);
-                path.pop();
-                r
-            },
-            entries,
-        )
-    }
-
-    /// Worker phase: exhaustively expand the subtree below the current
-    /// node (at `depth`), streaming pre-order records through `sink` in
-    /// batches of at most `batch_nodes`, ending with a `last` batch.
-    fn run_subtree(
-        &mut self,
-        depth: usize,
-        batch_nodes: usize,
-        sink: &mut dyn FnMut(TaskBatch),
-    ) -> Result<(), ()> {
-        let mut buf = BatchBuf {
-            nodes: Vec::new(),
-            defs_sent: 0, // the first batch carries the path's defs too
-            limit: batch_nodes.max(1),
+            (StepDesc::Recv { slot }, Some(entry)) => {
+                self.in_flight.insert(slot as usize, entry);
+                entry.to
+            }
+            (StepDesc::Recv { .. }, None) => unreachable!("a receive's undo holds its message"),
         };
-        self.explore_subtree(depth, &mut buf, sink)?;
-        self.flush(&mut buf, true, sink);
-        Ok(())
+        let pi = p.index();
+        self.actions[pi] = undo.actions;
+        self.last_local[pi] = undo.last;
+        self.views[pi].pop_step();
     }
 
-    /// Ships the pending records (and any partition-table entries they
-    /// may reference) as one batch.
-    fn flush(&mut self, buf: &mut BatchBuf, last: bool, sink: &mut dyn FnMut(TaskBatch)) {
-        let defs = self.defs[buf.defs_sent..].to_vec();
+    /// Moves the explorer to the node `target` reaches from the root:
+    /// undoes back to the longest common prefix with the current path and
+    /// applies the rest. Visiting a frontier's leaves in pre-order costs
+    /// the size of the frontier *tree* in total (each edge applied and
+    /// undone once), not `leaves × depth`, and undo restores cached action
+    /// lists without consulting the protocol.
+    fn goto(&mut self, target: &[StepDesc]) {
+        let common = self
+            .path
+            .iter()
+            .zip(target)
+            .take_while(|((step, _), t)| step == *t)
+            .count();
+        while self.path.len() > common {
+            let (step, undo) = self.path.pop().expect("path non-empty");
+            self.undo(step, undo);
+        }
+        for &step in &target[common..] {
+            let (undo, _) = self.apply(step);
+            self.path.push((step, undo));
+        }
+    }
+
+    /// Explores the subtree below the current node (at `depth`) in
+    /// pre-order, pushing one record per node into `buf` and handing
+    /// every full buffer to `sink`. The caller flushes the final, partial
+    /// buffer with [`Explorer::flush`].
+    fn explore(&mut self, depth: usize, buf: &mut BatchBuf, sink: &mut Sink<'_>) -> Result<(), ()> {
+        if depth >= self.max_events {
+            return Ok(());
+        }
+        self.for_each_child(|ex, local| {
+            ex.budget.charge()?;
+            buf.nodes.push(NodeRec {
+                depth: (depth + 1) as u32,
+                local,
+            });
+            if buf.nodes.len() >= buf.limit {
+                ex.flush(buf, sink);
+            }
+            ex.explore(depth + 1, buf, sink)
+        })
+    }
+
+    /// Hands `sink` the buffered records together with the
+    /// partition-table entries added since the previous flush (which the
+    /// records may reference).
+    fn flush(&self, buf: &mut BatchBuf, sink: &mut Sink<'_>) {
+        sink(&self.defs[buf.defs_sent..], &mut buf.nodes);
         buf.defs_sent = self.defs.len();
-        sink(TaskBatch {
-            defs,
-            nodes: std::mem::take(&mut buf.nodes),
-            last,
-            credited: false,
-        });
-    }
-
-    fn explore_subtree(
-        &mut self,
-        depth: usize,
-        buf: &mut BatchBuf,
-        sink: &mut dyn FnMut(TaskBatch),
-    ) -> Result<(), ()> {
-        if depth >= self.max_events {
-            return Ok(());
-        }
-        self.for_each_child(
-            |ex, _desc, local, (buf, sink)| {
-                ex.budget.charge()?;
-                buf.nodes.push(NodeRec {
-                    depth: (depth + 1) as u32,
-                    local,
-                });
-                if buf.nodes.len() >= buf.limit {
-                    ex.flush(buf, false, sink);
-                }
-                ex.explore_subtree(depth + 1, buf, sink)
-            },
-            &mut (buf, sink),
-        )
-    }
-
-    /// Worker phase for the single-shard extension: exhaustively expand
-    /// the subtree below the current node (at `depth`), handing each
-    /// pre-order record straight to `emit` together with the partition
-    /// table — no [`BatchBuf`], no per-subtree allocation. A sequential
-    /// caller splices records into the merge the moment they are
-    /// discovered; shipping the leaf cut's many tiny subtrees as
-    /// [`TaskBatch`]es would pay two allocations per leaf for batches
-    /// that average a handful of nodes.
-    fn explore_direct(
-        &mut self,
-        depth: usize,
-        emit: &mut dyn FnMut(&[EventDef], u32, LocalId),
-    ) -> Result<(), ()> {
-        if depth >= self.max_events {
-            return Ok(());
-        }
-        let mut emit = emit;
-        self.for_each_child(
-            |ex, _desc, local, emit| {
-                ex.budget.charge()?;
-                (**emit)(&ex.defs, (depth + 1) as u32, local);
-                ex.explore_direct(depth + 1, &mut **emit)
-            },
-            &mut emit,
-        )
     }
 
     /// Enumerates the children of the current node in the sequential
     /// engine's order — spontaneous steps by process, then receives by
     /// in-flight slot — applying/undoing state around each visit. The
-    /// visit closure receives the edge's step descriptor and its
-    /// partition-local event id.
-    fn for_each_child<T>(
+    /// visit closure receives the edge's partition-local event id.
+    fn for_each_child(
         &mut self,
-        mut visit: impl FnMut(&mut Self, StepDesc, LocalId, &mut T) -> Result<(), ()>,
-        sink: &mut T,
+        mut visit: impl FnMut(&mut Self, LocalId) -> Result<(), ()>,
     ) -> Result<(), ()> {
         for pi in 0..self.protocol.system_size() {
             let p = ProcessId::new(pi);
@@ -1027,10 +991,10 @@ impl<'a, P: Protocol + ?Sized> Explorer<'a, P> {
             // cloning the list at every node
             let acts = std::mem::take(&mut self.actions[pi]);
             for &action in &acts {
-                let desc = StepDesc::Spont { p, action };
-                let (undo, local) = self.apply_spont(p, action);
-                let r = visit(self, desc, local, sink);
-                self.undo_spont(p, action, undo);
+                let step = StepDesc::Spont { p, action };
+                let (undo, local) = self.apply(step);
+                let r = visit(self, local);
+                self.undo(step, undo);
                 if r.is_err() {
                     self.actions[pi] = acts;
                     return Err(());
@@ -1047,10 +1011,10 @@ impl<'a, P: Protocol + ?Sized> Explorer<'a, P> {
                 .protocol
                 .accepts(to, &self.views[to.index()], from, payload)
             {
-                let desc = StepDesc::Recv { slot: slot as u32 };
-                let (undo, local) = self.apply_recv(slot);
-                let r = visit(self, desc, local, sink);
-                self.undo_recv(slot, undo);
+                let step = StepDesc::Recv { slot: slot as u32 };
+                let (undo, local) = self.apply(step);
+                let r = visit(self, local);
+                self.undo(step, undo);
                 r?;
             }
             slot += 1;
@@ -1202,14 +1166,14 @@ impl Merger {
         }
     }
 
-    /// Consumes one streamed batch: renumbers its partition-table run,
-    /// then replays its node records.
-    fn consume(&mut self, batch: &TaskBatch, map: &mut Vec<EventId>) {
+    /// Consumes one batch: renumbers its partition-table run, then
+    /// replays its node records.
+    fn consume(&mut self, defs: &[EventDef], nodes: &[NodeRec], map: &mut Vec<EventId>) {
         {
             let _renumber = hpl_telemetry::span("enum.renumber");
-            self.renumber(&batch.defs, map);
+            self.renumber(defs, map);
         }
-        for rec in &batch.nodes {
+        for rec in nodes {
             let e = self.event(map[rec.local as usize]);
             self.apply(rec.depth, e);
         }
@@ -1315,9 +1279,8 @@ struct MergeMetrics {
 }
 
 impl MergeMetrics {
-    /// Accounts a batch the moment it is about to be consumed.
-    fn on_consume(&mut self, batch: &TaskBatch) {
-        let bytes = batch.approx_bytes();
+    /// Accounts a batch of `bytes` the moment it is about to be consumed.
+    fn on_consume(&mut self, bytes: usize) {
         self.batches += 1;
         self.largest_batch = self.largest_batch.max(bytes);
         self.peak_buffered = self.peak_buffered.max(self.buffered_now + bytes);
@@ -1339,38 +1302,6 @@ impl MergeMetrics {
     fn on_unbuffer(&mut self, batch: &TaskBatch) {
         self.buffered_now -= batch.approx_bytes();
     }
-}
-
-/// Walks the prefix entries in splice order, renumbering coordinator
-/// events lazily (in first-encounter order, which is their pre-order)
-/// and delegating each task's batches to `run_task`.
-fn drive_merge(
-    entries: &[Entry],
-    coord_defs: &[EventDef],
-    merger: &mut Merger,
-    metrics: &mut MergeMetrics,
-    mut run_task: impl FnMut(&mut Merger, usize, &mut MergeMetrics) -> Result<(), ()>,
-) -> Result<(), ()> {
-    let mut coord_map: Vec<EventId> = Vec::new();
-    merger.insert_current(); // the root (empty) computation
-    for entry in entries {
-        match *entry {
-            Entry::Node(rec) => {
-                // analyze:allow(wall-clock) merge_wall metric; timing only, output-invariant
-                let t = Instant::now();
-                let local = rec.local as usize;
-                if local >= coord_map.len() {
-                    debug_assert_eq!(local, coord_map.len(), "prefix defs are pre-ordered");
-                    merger.renumber(&coord_defs[coord_map.len()..=local], &mut coord_map);
-                }
-                let e = merger.event(coord_map[local]);
-                merger.apply(rec.depth, e);
-                metrics.merge_wall += t.elapsed();
-            }
-            Entry::Task(id) => run_task(merger, id, metrics)?,
-        }
-    }
-    Ok(())
 }
 
 #[allow(clippy::too_many_arguments)] // one call site; a worker is exactly this context
@@ -1396,31 +1327,41 @@ fn worker_loop<P: Protocol + ?Sized>(
         hpl_telemetry::record("enum.queue_depth", depth as u64);
         let _explore = hpl_telemetry::span("enum.explore");
         let mut ex = Explorer::new(protocol, max_events, budget);
-        ex.replay(&task.path);
-        let done = ex.run_subtree(task.path.len(), batch_nodes, &mut |mut batch| {
+        ex.goto(&task.path);
+        let ship = |defs: &[EventDef], nodes: &mut Vec<NodeRec>, last: bool| {
             // the reorder-buffer credit: blocks while the buffer is at
             // capacity and the merge is splicing another task
             // analyze:blocking(enum.gate)
-            batch.credited = gate.admit(task.id);
+            let credited = gate.admit(task.id);
+            let batch = TaskBatch {
+                defs: defs.to_vec(),
+                nodes: std::mem::take(nodes),
+                last,
+                credited,
+            };
             // the coordinator outlives the workers; a send failure means
             // the run is being torn down
             let _ = results.send((task.id, batch));
-        });
-        if done.is_err() {
+        };
+        let mut buf = BatchBuf::new(batch_nodes);
+        if ex
+            .explore(task.path.len(), &mut buf, &mut |d, n| ship(d, n, false))
+            .is_err()
+        {
             // budget exhausted or sibling failure; the error is recorded.
             // Open the gate so siblings blocked on credits can drain and
             // observe the abort themselves.
             gate.shutdown();
             return;
         }
+        ex.flush(&mut buf, &mut |d, n| ship(d, n, true));
     }
 }
 
 /// Splices one task's streamed batches into the merge: pulls from the
 /// reorder buffer first, then the live result channel (parking batches
 /// of other tasks), until the task's `last` batch has been consumed.
-/// Shared by [`enumerate_sharded`] and [`extend_sharded`]; `Err` means
-/// the workers vanished without finishing — a budget abort.
+/// `Err` means the workers vanished without finishing — a budget abort.
 #[allow(clippy::too_many_arguments)] // exactly the merge-side context
 fn consume_task_batches(
     merger: &mut Merger,
@@ -1453,7 +1394,7 @@ fn consume_task_batches(
                 }
             },
         };
-        metrics.on_consume(&batch);
+        metrics.on_consume(batch.approx_bytes());
         if batch.credited {
             gate.release();
         } else {
@@ -1463,7 +1404,7 @@ fn consume_task_batches(
         // analyze:allow(wall-clock) merge_wall metric; timing only, output-invariant
         let t = Instant::now();
         merger.forecast(budget.explored.load(Ordering::Relaxed));
-        merger.consume(&batch, task_map);
+        merger.consume(&batch.defs, &batch.nodes, task_map);
         metrics.merge_wall += t.elapsed();
         if last {
             return Ok(());
@@ -1474,7 +1415,10 @@ fn consume_task_batches(
 /// Enumerates every system computation of `protocol` (depth-bounded, like
 /// [`enumerate`](crate::enumerate::enumerate)) using `config.shards`
 /// worker threads, per-task id partitions and a streaming deterministic
-/// merge.
+/// merge. The tree down to the split depth is grown on the calling
+/// thread from the empty frontier and checkpointed; that prefix frontier
+/// is then extended to the horizon exactly as [`extend_sharded`] would,
+/// with its leaves as the worker tasks.
 ///
 /// Without dedupe the result is byte-identical to the sequential engine
 /// for every shard count, split depth and batch size: same computations,
@@ -1519,153 +1463,33 @@ pub fn enumerate_sharded<P: Protocol + Sync + ?Sized>(
     limits: EnumerationLimits,
     config: &ShardConfig,
 ) -> Result<ShardedEnumeration, CoreError> {
-    let shards = config.shards.max(1);
-    let batch_nodes = config.batch_nodes.max(1);
     // Default split: deep enough to produce many more tasks than shards
-    // on branchy protocols, shallow enough that the prefix phase stays
+    // on branchy protocols, shallow enough that the prefix stays
     // negligible.
     let split = config.split_depth.unwrap_or(3).min(limits.max_events);
-    let budget = Budget::new(limits.max_computations);
-
-    // Phase 1: prefix expansion (coordinator partition).
-    let mut entries = Vec::new();
-    let mut tasks = Vec::new();
-    let mut prefix = Explorer::new(protocol, limits.max_events, &budget);
-    let outcome = {
+    let prefix = {
         let _prefix = hpl_telemetry::span("enum.prefix");
-        budget.charge().and_then(|()| {
-            prefix.explore_prefix(0, split, &mut Vec::new(), &mut entries, &mut tasks)
-        })
+        let root = Frontier::root(protocol.system_size(), FrontierMode::of(config));
+        let on_caller = ShardConfig {
+            shards: 1,
+            checkpoint: true,
+            ..*config
+        };
+        let prefix_limits = EnumerationLimits {
+            max_events: split,
+            ..limits
+        };
+        grow(protocol, &root, prefix_limits, &on_caller)?
     };
-    let task_count = tasks.len();
-
-    // Phases 2+3, fused: workers explore disjoint id partitions while the
-    // coordinator streams their batches through the merge in splice order.
-    let mut merger = Merger::new(
-        protocol.system_size(),
-        merge_mode(protocol, config),
-        config.checkpoint,
-    );
-    let mut metrics = MergeMetrics::default();
-    if outcome.is_ok() {
-        let mut task_map: Vec<EventId> = Vec::new();
-        if shards == 1 || tasks.is_empty() {
-            // Single-shard: explore each subtree lazily at its splice
-            // point, merging batches the moment they are produced —
-            // nothing is ever buffered.
-            let _merge = hpl_telemetry::span("enum.merge");
-            let _ = drive_merge(
-                &entries,
-                &prefix.defs,
-                &mut merger,
-                &mut metrics,
-                |merger, id, metrics| {
-                    let _explore = hpl_telemetry::span("enum.explore");
-                    let mut ex = Explorer::new(protocol, limits.max_events, &budget);
-                    ex.replay(&tasks[id].path);
-                    task_map.clear();
-                    ex.run_subtree(tasks[id].path.len(), batch_nodes, &mut |batch| {
-                        metrics.on_consume(&batch);
-                        // analyze:allow(wall-clock) merge_wall metric; timing only, output-invariant
-                        let t = Instant::now();
-                        merger.forecast(budget.explored.load(Ordering::Relaxed));
-                        merger.consume(&batch, &mut task_map);
-                        metrics.merge_wall += t.elapsed();
-                    })
-                },
-            );
-        } else {
-            let (task_tx, task_rx) = channel::unbounded();
-            let pending = AtomicUsize::new(tasks.len());
-            for t in tasks {
-                task_tx.send(t).expect("receiver alive");
-            }
-            drop(task_tx);
-            // the vendored crossbeam stand-in wraps std::sync::mpsc, whose
-            // receiver is single-consumer — the mutex is what makes the
-            // queue multi-consumer (real crossbeam receivers are MPMC and
-            // would not need it)
-            let queue = Mutex::new(task_rx);
-            let gate = ReorderGate::new(config.max_buffered_batches);
-            let (res_tx, res_rx) = channel::unbounded::<(usize, TaskBatch)>();
-            std::thread::scope(|s| {
-                for _ in 0..shards {
-                    let res_tx = res_tx.clone();
-                    let (queue, budget, gate, pending) = (&queue, &budget, &gate, &pending);
-                    s.spawn(move || {
-                        worker_loop(
-                            protocol,
-                            limits.max_events,
-                            batch_nodes,
-                            budget,
-                            gate,
-                            queue,
-                            pending,
-                            &res_tx,
-                        );
-                    });
-                }
-                drop(res_tx);
-                let _merge = hpl_telemetry::span("enum.merge");
-                // Reorder buffer: batches of tasks that finished ahead of
-                // their splice point. This — not the node count — is the
-                // merge's peak memory; every parked batch holds a gate
-                // credit, so it never exceeds `max_buffered_batches`.
-                let mut parked: HashMap<usize, VecDeque<TaskBatch>> = HashMap::new();
-                let _ = drive_merge(
-                    &entries,
-                    &prefix.defs,
-                    &mut merger,
-                    &mut metrics,
-                    |merger, id, metrics| {
-                        consume_task_batches(
-                            merger,
-                            id,
-                            metrics,
-                            &gate,
-                            &res_rx,
-                            &mut parked,
-                            &mut task_map,
-                            &budget,
-                        )
-                    },
-                );
-                // teardown: wake any worker still blocked on a credit
-                // (normal completion leaves none; abort paths may)
-                gate.shutdown();
-            });
-        }
-    }
-
-    let explored = budget.explored.load(Ordering::Relaxed).min(budget.max);
-    if let Some(e) = budget.into_error() {
-        return Err(e);
-    }
-
-    let unique = merger.universe.len();
-    let (universe, orbits, frontier) = merger.finish(limits.max_events);
-    Ok(ShardedEnumeration {
-        universe,
-        stats: EnumerationStats {
-            explored,
-            resumed: 0,
-            unique,
-            tasks: task_count,
-            shards,
-            group_order: orbits.as_ref().map_or(1, Orbits::group_order),
-            batches: metrics.batches,
-            merge_wall_ms: metrics.merge_wall.as_secs_f64() * 1e3,
-            peak_buffered_bytes: metrics.peak_buffered,
-            largest_batch_bytes: metrics.largest_batch,
-        },
-        orbits,
-        frontier,
-        growth: None,
-    })
+    let frontier = prefix.frontier.expect("checkpoint requested");
+    let mut out = grow(protocol, &frontier, limits, config)?;
+    out.stats.resumed = 0;
+    out.stats.merge_wall_ms += prefix.stats.merge_wall_ms;
+    out.growth = None;
+    Ok(out)
 }
 
-/// The merge mode a config selects (shared by [`enumerate_sharded`] and
-/// [`extend_sharded`] so the two cannot drift).
+/// The merge mode a config selects.
 fn merge_mode<P: Protocol + ?Sized>(protocol: &P, config: &ShardConfig) -> MergeMode {
     if config.quotient {
         let group = protocol.symmetry();
@@ -1812,11 +1636,13 @@ fn steps_of(frontier: &Frontier, path: &[u32]) -> Vec<StepDesc> {
 
 /// Replays a frontier's journal through the merger — re-adopting kept
 /// representatives, re-interning events in their original order and
-/// collecting the [`GrowthMap`] — and invokes `run_leaf` at every
-/// depth-`d` node so new exploration splices in at exactly the pre-order
-/// position a from-scratch run would reach it.
-fn drive_extend(
+/// collecting the [`GrowthMap`] — and, when `explore` is set, invokes
+/// `run_leaf` at every leaf-cut node so new exploration splices in at
+/// exactly the pre-order position a from-scratch run would reach it.
+/// Every build, from scratch or from a checkpoint, runs through here.
+fn drive(
     frontier: &Frontier,
+    explore: bool,
     merger: &mut Merger,
     metrics: &mut MergeMetrics,
     growth: &mut Vec<u32>,
@@ -1827,7 +1653,8 @@ fn drive_extend(
     // the root (empty computation): always kept, orbit index 0
     merger.adopt_current(mult.next());
     growth.push(0);
-    if frontier.depth == 0 {
+    let leaf_depth = explore.then_some(frontier.depth);
+    if leaf_depth == Some(0) {
         return run_leaf(merger, 0, metrics);
     }
     let mut leaf = 0usize;
@@ -1844,7 +1671,7 @@ fn drive_extend(
             #[allow(clippy::cast_possible_truncation)] // members fit u32 (CompId invariant)
             growth.push((merger.universe.len() - 1) as u32);
         }
-        if rec.depth as usize == frontier.depth {
+        if leaf_depth == Some(rec.depth as usize) {
             metrics.merge_wall += seg.elapsed();
             run_leaf(merger, leaf, metrics)?;
             leaf += 1;
@@ -1856,63 +1683,175 @@ fn drive_extend(
     Ok(())
 }
 
-/// Undo data for one step applied by the extension's leaf walker.
-enum AppliedUndo {
-    Spont(SpontUndo),
-    Recv(RecvUndo),
-}
-
-/// Single-shard leaf navigation: one persistent [`Explorer`] serves
-/// every leaf subtree, repositioned between consecutive leaves by
-/// undoing to the longest common step prefix and applying the divergent
-/// suffix — the total navigation cost over all leaves is the size of
-/// the frontier *tree* (each edge applied/undone once), not
-/// `leaves × depth`, and undo restores cached action lists without
-/// consulting the protocol at all.
-struct LeafWalker<'a, P: ?Sized> {
-    ex: Explorer<'a, P>,
-    applied: Vec<(StepDesc, AppliedUndo)>,
-}
-
-impl<'a, P: Protocol + ?Sized> LeafWalker<'a, P> {
-    fn new(protocol: &'a P, max_events: usize, budget: &'a Budget) -> Self {
-        LeafWalker {
-            ex: Explorer::new(protocol, max_events, budget),
-            applied: Vec::new(),
-        }
+/// Grows `frontier` to the horizon `limits.max_events`: replays its
+/// journal through a fresh merge and explores below its leaf cut, one
+/// task per leaf. The caller has checked that the frontier fits the
+/// protocol and the config's merge mode.
+fn grow<P: Protocol + Sync + ?Sized>(
+    protocol: &P,
+    frontier: &Frontier,
+    limits: EnumerationLimits,
+    config: &ShardConfig,
+) -> Result<ShardedEnumeration, CoreError> {
+    let resumed = frontier.resumed_nodes();
+    if resumed > limits.max_computations {
+        return Err(CoreError::EnumerationBudgetExceeded {
+            max_computations: limits.max_computations,
+        });
     }
+    let shards = config.shards.max(1);
+    let budget = Budget::new(limits.max_computations);
+    // the replayed tree is pre-charged: a from-scratch run counts every
+    // one of these nodes, so `explored` stays comparable
+    budget.explored.store(resumed, Ordering::Relaxed);
 
-    /// Repositions the explorer at the node reached by `target` from the
-    /// root.
-    fn goto(&mut self, target: &[StepDesc]) {
-        let common = self
-            .applied
-            .iter()
-            .zip(target)
-            .take_while(|(pair, step)| pair.0 == **step)
-            .count();
-        while self.applied.len() > common {
-            let (desc, undo) = self.applied.pop().expect("walker stack non-empty");
-            match (desc, undo) {
-                (StepDesc::Spont { p, action }, AppliedUndo::Spont(u)) => {
-                    self.ex.undo_spont(p, action, u);
-                }
-                (StepDesc::Recv { slot }, AppliedUndo::Recv(u)) => {
-                    self.ex.undo_recv(slot as usize, u);
-                }
-                _ => unreachable!("undo data matches its step kind"),
+    let mut merger = Merger::new(
+        protocol.system_size(),
+        merge_mode(protocol, config),
+        config.checkpoint,
+    );
+    let mut metrics = MergeMetrics::default();
+    let mut growth: Vec<u32> = Vec::new();
+    // a frontier already at the horizon has nothing below its leaves
+    let leaf_paths = if frontier.depth < limits.max_events {
+        leaf_step_paths(frontier)
+    } else {
+        Vec::new()
+    };
+    let tasks = leaf_paths.len();
+
+    if shards == 1 || tasks <= 1 {
+        // One shard: a single explorer visits the leaves in splice order
+        // (moving between them with `goto`, not root replay) with one id
+        // partition for the whole run, and every buffer it fills is
+        // merged on the spot — renumbered in one pass and replayed from
+        // the reused buffer, so nothing is parked or allocated per leaf.
+        let mut ex = Explorer::new(protocol, limits.max_events, &budget);
+        let mut buf = BatchBuf::new(config.batch_nodes);
+        let mut map: Vec<EventId> = Vec::new();
+        let _merge = hpl_telemetry::span("enum.merge");
+        let _ = drive(
+            frontier,
+            tasks > 0,
+            &mut merger,
+            &mut metrics,
+            &mut growth,
+            |merger, leaf, metrics| {
+                let _explore = hpl_telemetry::span("enum.explore");
+                let path = &leaf_paths[leaf];
+                ex.goto(path);
+                let mut consume = |defs: &[EventDef], nodes: &mut Vec<NodeRec>| {
+                    metrics.on_consume(batch_bytes(defs, nodes));
+                    // analyze:allow(wall-clock) merge_wall metric; timing only, output-invariant
+                    let t = Instant::now();
+                    merger.forecast(budget.explored.load(Ordering::Relaxed));
+                    merger.consume(defs, nodes, &mut map);
+                    nodes.clear();
+                    metrics.merge_wall += t.elapsed();
+                };
+                ex.explore(path.len(), &mut buf, &mut consume)?;
+                ex.flush(&mut buf, &mut consume);
+                Ok(())
+            },
+        );
+    } else {
+        // Several shards: the leaves are queued in splice order and the
+        // worker pool explores them (each replaying its leaf path into a
+        // fresh partition) while the merge interleaves replayed frontier
+        // records with each task's streamed batches.
+        let (task_tx, task_rx) = channel::unbounded();
+        for (id, path) in leaf_paths.into_iter().enumerate() {
+            task_tx.send(Task { id, path }).expect("receiver alive");
+        }
+        drop(task_tx);
+        let pending = AtomicUsize::new(tasks);
+        // the vendored crossbeam stand-in wraps std::sync::mpsc, whose
+        // receiver is single-consumer — the mutex is what makes the
+        // queue multi-consumer (real crossbeam receivers are MPMC and
+        // would not need it)
+        let queue = Mutex::new(task_rx);
+        let gate = ReorderGate::new(config.max_buffered_batches);
+        let (res_tx, res_rx) = channel::unbounded::<(usize, TaskBatch)>();
+        std::thread::scope(|s| {
+            for _ in 0..shards {
+                let res_tx = res_tx.clone();
+                let (queue, budget, gate, pending) = (&queue, &budget, &gate, &pending);
+                s.spawn(move || {
+                    worker_loop(
+                        protocol,
+                        limits.max_events,
+                        config.batch_nodes,
+                        budget,
+                        gate,
+                        queue,
+                        pending,
+                        &res_tx,
+                    );
+                });
             }
-        }
-        for &desc in &target[common..] {
-            let undo = match desc {
-                StepDesc::Spont { p, action } => {
-                    AppliedUndo::Spont(self.ex.apply_spont(p, action).0)
-                }
-                StepDesc::Recv { slot } => AppliedUndo::Recv(self.ex.apply_recv(slot as usize).0),
-            };
-            self.applied.push((desc, undo));
-        }
+            drop(res_tx);
+            let _merge = hpl_telemetry::span("enum.merge");
+            // Reorder buffer: batches of tasks that finished ahead of
+            // their splice point. This — not the node count — is the
+            // merge's peak memory; every parked batch holds a gate
+            // credit, so it never exceeds `max_buffered_batches`.
+            let mut parked: HashMap<usize, VecDeque<TaskBatch>> = HashMap::new();
+            let mut task_map: Vec<EventId> = Vec::new();
+            let _ = drive(
+                frontier,
+                true,
+                &mut merger,
+                &mut metrics,
+                &mut growth,
+                |merger, leaf, metrics| {
+                    consume_task_batches(
+                        merger,
+                        leaf,
+                        metrics,
+                        &gate,
+                        &res_rx,
+                        &mut parked,
+                        &mut task_map,
+                        &budget,
+                    )
+                },
+            );
+            // teardown: wake any worker still blocked on a credit
+            // (normal completion leaves none; abort paths may)
+            gate.shutdown();
+        });
     }
+
+    let explored = budget.explored.load(Ordering::Relaxed).min(budget.max);
+    if let Some(e) = budget.into_error() {
+        return Err(e);
+    }
+
+    let unique = merger.universe.len();
+    let (universe, orbits, new_frontier) = merger.finish(limits.max_events);
+    let growth_map = GrowthMap::new(
+        frontier.generation,
+        universe.universe().generation(),
+        growth,
+    );
+    Ok(ShardedEnumeration {
+        universe,
+        stats: EnumerationStats {
+            explored,
+            resumed,
+            unique,
+            tasks,
+            shards,
+            group_order: orbits.as_ref().map_or(1, Orbits::group_order),
+            batches: metrics.batches,
+            merge_wall_ms: metrics.merge_wall.as_secs_f64() * 1e3,
+            peak_buffered_bytes: metrics.peak_buffered,
+            largest_batch_bytes: metrics.largest_batch,
+        },
+        orbits,
+        frontier: new_frontier,
+        growth: Some(growth_map),
+    })
 }
 
 /// Resumes a checkpointed enumeration from its [`Frontier`], exploring
@@ -1995,13 +1934,7 @@ pub fn extend_sharded<P: Protocol + Sync + ?Sized>(
             protocol.system_size()
         )));
     }
-    let mode_wanted = if config.quotient {
-        FrontierMode::Quotient
-    } else if config.dedupe {
-        FrontierMode::Dedupe
-    } else {
-        FrontierMode::Exact
-    };
+    let mode_wanted = FrontierMode::of(config);
     if frontier.mode != mode_wanted {
         return Err(mismatch(format!(
             "frontier was captured in {:?} mode, the extension is configured for {:?}",
@@ -2014,161 +1947,9 @@ pub fn extend_sharded<P: Protocol + Sync + ?Sized>(
             limits.max_events, frontier.depth
         )));
     }
-    let resumed = frontier.resumed_nodes();
-    if resumed > limits.max_computations {
-        return Err(CoreError::EnumerationBudgetExceeded {
-            max_computations: limits.max_computations,
-        });
-    }
-
-    let shards = config.shards.max(1);
-    let batch_nodes = config.batch_nodes.max(1);
-    let budget = Budget::new(limits.max_computations);
-    // the replayed tree is pre-charged: a from-scratch run counts every
-    // one of these nodes, so `explored` stays comparable
-    budget.explored.store(resumed, Ordering::Relaxed);
-    hpl_telemetry::counter_add("enum.extend.resumed", resumed as u64);
-
-    let mut merger = Merger::new(
-        protocol.system_size(),
-        merge_mode(protocol, config),
-        config.checkpoint,
-    );
-    let mut metrics = MergeMetrics::default();
-    let mut growth: Vec<u32> = Vec::new();
-    let leaf_paths = leaf_step_paths(frontier);
-    hpl_telemetry::counter_add("enum.extend.leaves", leaf_paths.len() as u64);
-
-    if shards == 1 || leaf_paths.len() <= 1 {
-        // Single-shard: one persistent explorer serves every leaf at its
-        // splice point (repositioned via undo, not root replay), one id
-        // partition covers the whole extension, and explored records
-        // splice into the merge the moment they are discovered — the
-        // leaf cut has one subtree per leaf, so routing them through
-        // `TaskBatch` would allocate twice per (tiny) batch. Explore and
-        // merge are fused here, so `merge_wall` covers only the replayed
-        // prefix.
-        let mut walker = LeafWalker::new(protocol, limits.max_events, &budget);
-        let mut task_map: Vec<EventId> = Vec::new();
-        let _merge = hpl_telemetry::span("enum.merge");
-        let _ = drive_extend(
-            frontier,
-            &mut merger,
-            &mut metrics,
-            &mut growth,
-            |merger, leaf, _metrics| {
-                let _explore = hpl_telemetry::span("enum.explore");
-                walker.goto(&leaf_paths[leaf]);
-                let depth = leaf_paths[leaf].len();
-                merger.forecast(budget.explored.load(Ordering::Relaxed));
-                let mut emit = |defs: &[EventDef], d: u32, local: LocalId| {
-                    let local = local as usize;
-                    if local >= task_map.len() {
-                        merger.renumber(&defs[task_map.len()..=local], &mut task_map);
-                    }
-                    let e = merger.event(task_map[local]);
-                    merger.apply(d, e);
-                };
-                walker.ex.explore_direct(depth, &mut emit)
-            },
-        );
-    } else {
-        // Multi-shard: one task per leaf, pushed in splice order; the
-        // stock worker pool explores them (replaying each leaf path in
-        // parallel) while the merge interleaves replayed old records
-        // with each task's streamed batches.
-        let tasks: Vec<Task> = leaf_paths
-            .iter()
-            .enumerate()
-            .map(|(id, path)| Task {
-                id,
-                path: path.clone(),
-            })
-            .collect();
-        let (task_tx, task_rx) = channel::unbounded();
-        let pending = AtomicUsize::new(tasks.len());
-        for t in tasks {
-            task_tx.send(t).expect("receiver alive");
-        }
-        drop(task_tx);
-        let queue = Mutex::new(task_rx);
-        let gate = ReorderGate::new(config.max_buffered_batches);
-        let (res_tx, res_rx) = channel::unbounded::<(usize, TaskBatch)>();
-        std::thread::scope(|s| {
-            for _ in 0..shards {
-                let res_tx = res_tx.clone();
-                let (queue, budget, gate, pending) = (&queue, &budget, &gate, &pending);
-                s.spawn(move || {
-                    worker_loop(
-                        protocol,
-                        limits.max_events,
-                        batch_nodes,
-                        budget,
-                        gate,
-                        queue,
-                        pending,
-                        &res_tx,
-                    );
-                });
-            }
-            drop(res_tx);
-            let _merge = hpl_telemetry::span("enum.merge");
-            let mut parked: HashMap<usize, VecDeque<TaskBatch>> = HashMap::new();
-            let mut task_map: Vec<EventId> = Vec::new();
-            let _ = drive_extend(
-                frontier,
-                &mut merger,
-                &mut metrics,
-                &mut growth,
-                |merger, leaf, metrics| {
-                    consume_task_batches(
-                        merger,
-                        leaf,
-                        metrics,
-                        &gate,
-                        &res_rx,
-                        &mut parked,
-                        &mut task_map,
-                        &budget,
-                    )
-                },
-            );
-            // teardown: wake any worker still blocked on a credit
-            gate.shutdown();
-        });
-    }
-
-    let explored = budget.explored.load(Ordering::Relaxed).min(budget.max);
-    if let Some(e) = budget.into_error() {
-        return Err(e);
-    }
-
-    let unique = merger.universe.len();
-    let leaves = leaf_paths.len();
-    let (universe, orbits, new_frontier) = merger.finish(limits.max_events);
-    let growth_map = GrowthMap::new(
-        frontier.generation,
-        universe.universe().generation(),
-        growth,
-    );
-    Ok(ShardedEnumeration {
-        universe,
-        stats: EnumerationStats {
-            explored,
-            resumed,
-            unique,
-            tasks: leaves,
-            shards,
-            group_order: orbits.as_ref().map_or(1, Orbits::group_order),
-            batches: metrics.batches,
-            merge_wall_ms: metrics.merge_wall.as_secs_f64() * 1e3,
-            peak_buffered_bytes: metrics.peak_buffered,
-            largest_batch_bytes: metrics.largest_batch,
-        },
-        orbits,
-        frontier: new_frontier,
-        growth: Some(growth_map),
-    })
+    hpl_telemetry::counter_add("enum.extend.resumed", frontier.resumed_nodes() as u64);
+    hpl_telemetry::counter_add("enum.extend.leaves", frontier.leaf_count() as u64);
+    grow(protocol, frontier, limits, config)
 }
 
 #[cfg(test)]
@@ -2320,6 +2101,37 @@ mod tests {
         assert!(out.stats.batches >= out.stats.tasks);
         assert_eq!(out.stats.peak_buffered_bytes, out.stats.largest_batch_bytes);
         assert!(out.stats.merge_wall_ms >= 0.0);
+    }
+
+    #[test]
+    fn extensions_count_a_batch_per_leaf() {
+        // an extension's leaves are its tasks, and every leaf's records
+        // reach the merge as at least one batch — at one shard, where
+        // they are merged the moment they are explored, too
+        let p = SymmetricClocks { n: 3, k: 3 };
+        for shards in [1usize, 2] {
+            let cfg = ShardConfig::with_shards(shards).checkpoint().quotient();
+            let base = enumerate_sharded(&p, EnumerationLimits::depth(3), &cfg).unwrap();
+            let grown = extend_sharded(
+                &p,
+                base.frontier.as_ref().unwrap(),
+                EnumerationLimits::depth(5),
+                &cfg,
+            )
+            .unwrap();
+            let stats = grown.stats;
+            assert!(stats.tasks > 1, "{shards} shards: {} tasks", stats.tasks);
+            assert!(
+                stats.batches >= stats.tasks,
+                "{shards} shards: {} batches for {} tasks",
+                stats.batches,
+                stats.tasks
+            );
+            if shards == 1 {
+                assert_eq!(stats.peak_buffered_bytes, stats.largest_batch_bytes);
+                assert!(stats.largest_batch_bytes > 0);
+            }
+        }
     }
 
     #[test]

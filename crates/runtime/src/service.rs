@@ -37,12 +37,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Default [`SatCache`] resident-bytes high-water mark (64 MiB): past
-/// it the service logs a one-time warning per scenario. The cache is
-/// unbounded per generation by design until eviction lands (ROADMAP
-/// follow-on); the warning makes the growth visible instead of silent.
-pub const DEFAULT_SAT_CACHE_HIGH_WATER: usize = 64 * 1024 * 1024;
-
 /// What a query ultimately resolves to: the satisfaction set of the
 /// folded root formula, or a typed failure. `Arc`-wrapped so one
 /// leader's result broadcasts to coalesced followers without copying
@@ -112,9 +106,6 @@ pub struct Snapshot {
     pub(crate) classes: Arc<ClassCache>,
     pub(crate) sats: Arc<SatCache>,
     pub(crate) admission: Admission<Outcome>,
-    /// Shared with the owning service (one knob for all scenarios).
-    high_water: Arc<AtomicUsize>,
-    warned: AtomicBool,
     /// Raised when a later registration replaces this snapshot under
     /// its name. Sessions holding the snapshot keep working against it
     /// (results stay internally consistent); [`Session::is_current`]
@@ -178,32 +169,6 @@ impl Snapshot {
     #[must_use]
     pub fn led(&self) -> u64 {
         self.admission.led()
-    }
-
-    /// Whether this snapshot's [`SatCache`] has crossed the service's
-    /// resident-bytes high-water mark (and the one-time warning fired).
-    #[must_use]
-    pub fn sat_cache_warned(&self) -> bool {
-        self.warned.load(Ordering::Relaxed)
-    }
-
-    /// Checks the [`SatCache`] resident-bytes estimate against the
-    /// high-water mark, logging a one-time warning per scenario on the
-    /// way past it. Called by pool workers after each evaluation.
-    fn note_sat_cache_size(&self) {
-        if self.warned.load(Ordering::Relaxed) {
-            return;
-        }
-        let stats = self.sats.stats();
-        let mark = self.high_water.load(Ordering::Relaxed);
-        if stats.resident_bytes > mark && !self.warned.swap(true, Ordering::Relaxed) {
-            eprintln!(
-                "warning: scenario '{}' sat-cache holds {} entries (~{} bytes), past the \
-                 {} byte high-water mark; the cache evicts at its {} byte capacity — \
-                 raise the mark or lower the capacity if this is unexpected",
-                self.name, stats.entries, stats.resident_bytes, mark, stats.capacity_bytes
-            );
-        }
     }
 
     /// Plans a formula for this snapshot (see [`crate::planner`]).
@@ -283,7 +248,6 @@ pub struct QueryService {
     snapshots: Mutex<HashMap<String, Arc<Snapshot>>>,
     jobs: JobSlot,
     workers: Vec<JoinHandle<()>>,
-    sat_cache_high_water: Arc<AtomicUsize>,
     sat_cache_capacity: AtomicUsize,
 }
 
@@ -306,19 +270,8 @@ impl QueryService {
             snapshots: Mutex::new(HashMap::new()),
             jobs: Arc::new(Mutex::new(Some(tx))),
             workers,
-            sat_cache_high_water: Arc::new(AtomicUsize::new(DEFAULT_SAT_CACHE_HIGH_WATER)),
             sat_cache_capacity: AtomicUsize::new(DEFAULT_SAT_CACHE_CAPACITY),
         }
-    }
-
-    /// Sets the [`SatCache`] resident-bytes high-water mark shared by
-    /// every registered scenario (default
-    /// [`DEFAULT_SAT_CACHE_HIGH_WATER`]). Crossing it triggers a
-    /// one-time warning per scenario; it does **not** evict — the
-    /// per-cache capacity ([`QueryService::set_sat_cache_capacity`])
-    /// does that.
-    pub fn set_sat_cache_high_water(&self, bytes: usize) {
-        self.sat_cache_high_water.store(bytes, Ordering::Relaxed);
     }
 
     /// Sets the [`SatCache`] resident-bytes capacity used by
@@ -541,8 +494,6 @@ impl QueryService {
             classes,
             sats,
             admission: Admission::new(),
-            high_water: Arc::clone(&self.sat_cache_high_water),
-            warned: AtomicBool::new(false),
             stale: AtomicBool::new(false),
         });
         if let Some(replaced) = self.snapshots.lock().insert(name.to_owned(), snapshot) {
@@ -639,7 +590,6 @@ fn worker_loop(index: usize, rx: &Mutex<Receiver<Job>>) {
             busy_total.add(ns);
             jobs_total.add(1);
         }
-        job.snapshot.note_sat_cache_size();
         // a session that gave up waiting is fine
         let _ = job.reply.send(outcome);
     }

@@ -1,6 +1,5 @@
-//! The service's observability surfaces: the Prometheus-style metrics
-//! snapshot a `Session` exposes (what `repro serve`'s `:stats` prints)
-//! and the satisfaction-cache high-water warning.
+//! The service's observability surface: the Prometheus-style metrics
+//! snapshot a `Session` exposes (what `repro serve`'s `:stats` prints).
 
 use hpl_core::{enumerate, EnumerationLimits, Interpretation, Universe};
 use hpl_protocols::token_bus::{self, TokenBus};
@@ -64,39 +63,5 @@ fn metrics_snapshot_exposes_cache_and_admission_gauges() {
         gauge_value(&text, "hpl_universe_len"),
         Some(universe_len),
         "universe gauge must report the snapshot's size"
-    );
-}
-
-#[test]
-fn sat_cache_high_water_mark_trips_once() {
-    let (universe, interp) = snapshot_parts();
-    let service = QueryService::start(1);
-    service.register("bus", universe, interp);
-    // 1 byte: any cached satisfaction set is past the mark
-    service.set_sat_cache_high_water(1);
-    let session = service.session("bus").expect("registered");
-    let snap = service.snapshot("bus").expect("registered");
-    assert!(
-        !snap.sat_cache_warned(),
-        "must not warn before any query caches anything"
-    );
-    session.query("token-at-p0").expect("evaluates");
-    assert!(
-        snap.sat_cache_warned(),
-        "a cached entry past the high-water mark must trip the warning"
-    );
-}
-
-#[test]
-fn high_water_mark_defaults_leave_small_caches_quiet() {
-    let (universe, interp) = snapshot_parts();
-    let service = QueryService::start(1);
-    service.register("bus", universe, interp);
-    let session = service.session("bus").expect("registered");
-    session.query("token-at-p0").expect("evaluates");
-    let snap = service.snapshot("bus").expect("registered");
-    assert!(
-        !snap.sat_cache_warned(),
-        "a few kilobytes must stay far below the default 64 MiB mark"
     );
 }
