@@ -1,9 +1,8 @@
 //! The protocol-contract audit.
 //!
 //! Every protocol in the workspace carries a structural contract: a
-//! declared automorphism group, per-atom relabeling-invariance
-//! declarations, and a fault-model validation path shared with the
-//! simulator. The dynamic test suite spot-checks these on whatever the
+//! declared automorphism group and per-atom relabeling-invariance
+//! declarations. The dynamic test suite spot-checks these on whatever the
 //! corpus happens to exercise; this pass certifies them exhaustively on
 //! enumerated universes, one rule per contract clause:
 //!
@@ -19,18 +18,14 @@
 //!   declaration forfeits quotient evaluation it is entitled to);
 //! * `atom-not-wellformed` — an atom distinguishes interleavings of
 //!   the same per-process computations, violating the paper's
-//!   well-formedness condition for predicates;
-//! * `fault-validation-drift` — [`FaultModel::validate`] disagrees
-//!   with the sim-layer ground truth on a corpus of valid and invalid
-//!   configurations.
+//!   well-formedness condition for predicates.
 
 use crate::report::{AnalysisReport, Finding, Pass};
-use hpl_core::{check_closure, enumerate, CoreError, EnumerationLimits, FaultModel};
+use hpl_core::{check_closure, enumerate, CoreError, EnumerationLimits};
 use hpl_core::{Interpretation, Protocol, ProtocolUniverse};
 use hpl_model::symmetry::MAX_GROUP_ORDER;
 use hpl_model::{AtomInvariance, Permutation, ProcessId, SymmetryGroup};
 use hpl_protocols::{failure, gossip, token_bus, tracking, two_generals};
-use hpl_sim::SimTime;
 
 /// One protocol under audit: its enumerated universe, interpretation,
 /// and declared symmetry group.
@@ -139,7 +134,7 @@ pub fn registry() -> Result<Vec<ProtocolEntry>, CoreError> {
     Ok(out)
 }
 
-/// Audits the full workspace registry plus the fault-validation corpus.
+/// Audits the full workspace registry.
 ///
 /// # Errors
 ///
@@ -149,7 +144,6 @@ pub fn audit() -> Result<AnalysisReport, CoreError> {
     for entry in registry()? {
         audit_entry(&entry, &mut report);
     }
-    audit_fault_validation_with(|fm, n| fm.validate(n).is_ok(), &mut report);
     Ok(report)
 }
 
@@ -327,78 +321,6 @@ fn bounded_order(group: &SymmetryGroup, n: usize) -> Result<usize, usize> {
     }
 }
 
-/// Cross-checks the model-layer fault validator against the sim-layer
-/// ground truth on a corpus of valid and invalid configurations. The
-/// injectable predicate is what lets the fixture corpus prove the rule
-/// fires: the real audit passes [`FaultModel::validate`].
-pub fn audit_fault_validation_with<F: Fn(&FaultModel, usize) -> bool>(
-    model_accepts: F,
-    report: &mut AnalysisReport,
-) {
-    for (label, fm, n) in drift_corpus() {
-        let truth = reference_accepts(&fm, n);
-        let model = model_accepts(&fm, n);
-        if truth != model {
-            report.findings.push(Finding {
-                pass: Pass::Contract,
-                rule: "fault-validation-drift",
-                file: format!("fault-model:{label}"),
-                line: 0,
-                message: format!(
-                    "sim-layer ground truth says {}, FaultModel::validate says {} \
-                     — the validation paths have drifted",
-                    verdict(truth),
-                    verdict(model)
-                ),
-            });
-        }
-    }
-}
-
-fn verdict(ok: bool) -> &'static str {
-    if ok {
-        "accept"
-    } else {
-        "reject"
-    }
-}
-
-/// The sim-layer ground truth, restated from first principles: the
-/// network must pass its own validation and every crash must name a
-/// process in range.
-fn reference_accepts(fm: &FaultModel, n: usize) -> bool {
-    fm.network.validate().is_ok() && fm.crashes.iter().all(|(p, _)| p.index() < n)
-}
-
-/// Valid and invalid fault configurations, one per validation clause.
-fn drift_corpus() -> Vec<(&'static str, FaultModel, usize)> {
-    let mut lossy = FaultModel::default();
-    lossy.network.default.drop_probability = 0.25;
-
-    let mut overdropped = FaultModel::default();
-    overdropped.network.default.drop_probability = 1.5;
-
-    let mut negative = FaultModel::default();
-    negative.network.default.drop_probability = -0.1;
-
-    vec![
-        ("default", FaultModel::default(), 3),
-        ("lossy-quarter", lossy, 3),
-        (
-            "crash-in-range",
-            FaultModel::default().with_crash(ProcessId::new(1), SimTime::from_ticks(5)),
-            3,
-        ),
-        ("drop-above-one", overdropped, 3),
-        ("drop-negative", negative, 3),
-        (
-            "crash-out-of-range",
-            FaultModel::default().with_crash(ProcessId::new(9), SimTime::from_ticks(5)),
-            3,
-        ),
-    ]
-}
-
 /// Builds the seeded-violation audit used by the fixture corpus: each
 /// name wires a deliberately wrong contract through the same audit code
 /// paths the real registry takes, proving the rule can fire.
@@ -497,10 +419,6 @@ pub fn audit_fixture(name: &str) -> Result<AnalysisReport, String> {
                 &mut report,
             );
         }
-        "validation-drift" => {
-            // an injected validator that forgets the crash-range clause
-            audit_fault_validation_with(|fm, _n| fm.network.validate().is_ok(), &mut report);
-        }
         other => return Err(format!("unknown contract fixture `{other}`")),
     }
     Ok(report)
@@ -515,7 +433,6 @@ pub fn fixture_names() -> &'static [&'static str] {
         "undeclared-invariant",
         "wrongly-declared-invariant",
         "unwellformed-atom",
-        "validation-drift",
     ]
 }
 
@@ -542,7 +459,6 @@ mod tests {
             ("undeclared-invariant", "atom-invariance-missing"),
             ("wrongly-declared-invariant", "atom-invariance-unsound"),
             ("unwellformed-atom", "atom-not-wellformed"),
-            ("validation-drift", "fault-validation-drift"),
         ];
         assert_eq!(expected.len(), fixture_names().len());
         for (name, rule) in expected {

@@ -6,10 +6,16 @@
 //! `(P knows b) at x` iff `b` holds at every member of `x`'s
 //! `[P]`-equivalence class; common knowledge via connected components of
 //! `⋃ₚ [p]` (the greatest-fixpoint characterization).
+//!
+//! The definition is written once, as one recursion over a private
+//! `Frame`: the plain universe, the stored representatives of a
+//! symmetry quotient, and the orbit-expanded virtual universe behind
+//! [`QuotientPolicy::Expand`] differ only in member count, atom
+//! valuation and `[P]`-classes.
 
 use crate::bitset::CompSet;
 use crate::error::CoreError;
-use crate::formula::{Formula, Interpretation};
+use crate::formula::{AtomId, Formula, Interpretation};
 use crate::isomorphism::{ClassCache, IsoIndex, MAX_CACHED_GENERATIONS};
 use crate::soundness::{classify_invariance, Invariance};
 use crate::symmetry::{ExpandedUniverse, OrbitIndex, Orbits};
@@ -43,7 +49,7 @@ pub struct Evaluator<'u> {
     // classification depends only on the (fixed) interpretation and
     // group, never on universe contents, so it is never invalidated —
     // without it every first evaluation of a subformula re-traverses
-    // its whole subtree through compute()'s recursion
+    // its whole subtree
     classifications: std::cell::RefCell<HashMap<Formula, Invariance>>,
     components: Option<Components>,
     expansion: Option<ExpansionState>,
@@ -70,11 +76,6 @@ pub enum QuotientPolicy {
     /// contract is actually violated.
     #[default]
     Expand,
-    /// Evaluate everything on the quotient without checking — the
-    /// pre-checker behavior, now opt-in. Verdicts of out-of-contract
-    /// formulas are **silently wrong**; reserve this for corpora
-    /// certified sound by other means.
-    Trust,
 }
 
 /// Lazily-built state of the [`QuotientPolicy::Expand`] fallback: the
@@ -98,36 +99,33 @@ struct Components {
 }
 
 impl Components {
-    /// The components of `dsu`'s partition of members `0..n`: each
-    /// member is labeled with its root, and each component's member set
-    /// is materialized once, so `Common` evaluations are pure word-level
+    /// The connected components of `⋃ₚ [p]` over a frame's members —
+    /// the reachability relation underlying common knowledge. Every
+    /// singleton class joins the members of its test set; each member
+    /// is labeled with its root, and each component's member set is
+    /// materialized once, so `Common` evaluations are pure word-level
     /// set algebra.
-    fn from_dsu(mut dsu: Dsu) -> Self {
-        let n = dsu.parent.len();
+    fn build<F: Frame>(frame: &F) -> Self {
+        let n = frame.len();
+        let mut dsu = Dsu::new(n);
+        for pi in 0..frame.system_size() {
+            frame.classes(ProcessSet::singleton(ProcessId::new(pi)), |test, _| {
+                dsu.chain(test.iter());
+            });
+        }
         let labels: Vec<u32> = (0..n).map(|i| dsu.find(i) as u32).collect();
-        let mut set_index: HashMap<u32, usize> = HashMap::new();
+        // each root's component index; roots are members, so a Vec
+        let mut set_of = vec![usize::MAX; n];
         let mut sets: Vec<CompSet> = Vec::new();
         for (i, &label) in labels.iter().enumerate() {
-            let next = sets.len();
-            let k = *set_index.entry(label).or_insert_with(|| {
+            let k = &mut set_of[label as usize];
+            if *k == usize::MAX {
+                *k = sets.len();
                 sets.push(CompSet::new(n));
-                next
-            });
-            sets[k].insert(i);
+            }
+            sets[*k].insert(i);
         }
         Components { labels, sets }
-    }
-
-    /// The satisfaction set of `C⟨sat⟩`: a component satisfies iff all
-    /// its members do — word-parallel subset tests over the member sets.
-    fn common(&self, sat: &CompSet) -> CompSet {
-        let mut s = CompSet::new(self.labels.len());
-        for set in &self.sets {
-            if set.is_subset(sat) {
-                s.union_with(set);
-            }
-        }
-        s
     }
 }
 
@@ -551,11 +549,9 @@ impl<'u> Evaluator<'u> {
     ///   relabeling-dependent atom — are handled per the policy:
     ///   [`QuotientPolicy::Expand`] (default) evaluates just the
     ///   out-of-contract subtree on orbit-expanded classes with exact
-    ///   full-universe semantics, [`QuotientPolicy::Reject`] returns
-    ///   [`CoreError::QuotientUnsound`] naming the offending subformula
-    ///   and the violating generator, and [`QuotientPolicy::Trust`]
-    ///   (opt-in via [`Evaluator::with_symmetry_policy`]) restores the
-    ///   old unchecked behavior.
+    ///   full-universe semantics, and [`QuotientPolicy::Reject`]
+    ///   returns [`CoreError::QuotientUnsound`] naming the offending
+    ///   subformula and the violating generator.
     ///
     /// The restriction exists because a *nested* verdict stored at a
     /// representative `s` stands in for its relabelings `π·s`, and
@@ -635,8 +631,7 @@ impl<'u> Evaluator<'u> {
     /// [`Evaluator::with_symmetry`] with an explicit
     /// [`QuotientPolicy`] — use [`QuotientPolicy::Reject`] to turn
     /// out-of-contract queries into typed errors
-    /// ([`Evaluator::try_sat_set`]), or [`QuotientPolicy::Trust`] to
-    /// opt back into the old unchecked behavior.
+    /// ([`Evaluator::try_sat_set`]).
     ///
     /// # Panics
     ///
@@ -649,16 +644,9 @@ impl<'u> Evaluator<'u> {
         policy: QuotientPolicy,
     ) -> Self {
         Evaluator {
-            universe,
-            interp,
-            iso: IsoIndex::new(universe),
             sym: Some(OrbitIndex::new(universe, orbits)),
             policy,
-            memo: HashMap::new(),
-            classifications: std::cell::RefCell::new(HashMap::new()),
-            components: None,
-            expansion: None,
-            shared: None,
+            ..Evaluator::new(universe, interp)
         }
     }
 
@@ -769,22 +757,18 @@ impl<'u> Evaluator<'u> {
                 return Ok(s);
             }
         }
-        if self.sym.is_some() && self.policy != QuotientPolicy::Trust {
-            if let Invariance::OutOfContract(v) = self.check_symmetry(f) {
-                match self.policy {
-                    QuotientPolicy::Reject => return Err(CoreError::QuotientUnsound(v)),
-                    QuotientPolicy::Expand => {
-                        hpl_telemetry::counter_add("eval.expand_fallback", 1);
-                        let s = self.expand_sat(f);
-                        self.memo.insert(f.clone(), s.clone());
-                        self.publish(f, &s);
-                        return Ok(s);
-                    }
-                    QuotientPolicy::Trust => unreachable!("filtered above"),
+        // plain universes and in-contract quotient formulas evaluate on
+        // the evaluator's own universe; the policy decides the rest
+        let s = match self.check_symmetry(f) {
+            Invariance::OutOfContract(v) => match self.policy {
+                QuotientPolicy::Reject => return Err(CoreError::QuotientUnsound(v)),
+                QuotientPolicy::Expand => {
+                    hpl_telemetry::counter_add("eval.expand_fallback", 1);
+                    self.expand_sat(f)?
                 }
-            }
-        }
-        let s = self.compute(f);
+            },
+            _ => satisfy(self, f)?,
+        };
         self.memo.insert(f.clone(), s.clone());
         self.publish(f, &s);
         Ok(s)
@@ -817,298 +801,36 @@ impl<'u> Evaluator<'u> {
         s.is_empty() || s.count() == self.universe.len()
     }
 
-    fn compute(&mut self, f: &Formula) -> CompSet {
-        let n = self.universe.len();
-        match f {
-            Formula::True => CompSet::full(n),
-            Formula::False => CompSet::new(n),
-            Formula::Atom(id) => {
-                let mut s = CompSet::new(n);
-                for (i, c) in self.universe.iter() {
-                    if self.interp.eval(*id, c) {
-                        s.insert(i.index());
-                    }
-                }
-                s
-            }
-            Formula::Not(g) => {
-                let mut s = self.sat_set(g);
-                s.complement();
-                s
-            }
-            Formula::And(gs) => {
-                let mut s = CompSet::full(n);
-                for g in gs {
-                    let sg = self.sat_set(g);
-                    s.intersect_with(&sg);
-                }
-                s
-            }
-            Formula::Or(gs) => {
-                let mut s = CompSet::new(n);
-                for g in gs {
-                    let sg = self.sat_set(g);
-                    s.union_with(&sg);
-                }
-                s
-            }
-            Formula::Implies(a, b) => {
-                // ¬a ∨ b
-                let mut s = self.sat_set(a);
-                s.complement();
-                let sb = self.sat_set(b);
-                s.union_with(&sb);
-                s
-            }
-            Formula::Iff(a, b) => {
-                // a ⇔ b is the complement of a ⊕ b, word-parallel
-                let mut s = self.sat_set(a);
-                let sb = self.sat_set(b);
-                s.xor_with(&sb);
-                s.complement();
-                s
-            }
-            Formula::Knows(p, g) => {
-                let sg = self.sat_set(g);
-                self.knows_set(*p, &sg)
-            }
-            Formula::Sure(p, g) => {
-                // (P knows g) ∨ (P knows ¬g): the [P]-class is uniform.
-                let sg = self.sat_set(g);
-                let mut not_sg = sg.clone();
-                not_sg.complement();
-                let mut s = self.knows_set(*p, &sg);
-                let s2 = self.knows_set(*p, &not_sg);
-                s.union_with(&s2);
-                s
-            }
-            Formula::Everyone(g) => {
-                let sg = self.sat_set(g);
-                let mut s = CompSet::full(n);
-                for pi in 0..self.universe.system_size() {
-                    let kp = self.knows_set(ProcessSet::singleton(ProcessId::new(pi)), &sg);
-                    s.intersect_with(&kp);
-                }
-                s
-            }
-            Formula::Common(g) => {
-                let sg = self.sat_set(g);
-                self.components().common(&sg)
-            }
-        }
-    }
-
-    /// `{x : [P]-class of x ⊆ sat}` — the satisfaction set of
-    /// `P knows ⟨sat⟩`. Over a quotient universe the class is expanded
-    /// to every representative whose orbit intersects it.
-    fn knows_set(&self, p: ProcessSet, sat: &CompSet) -> CompSet {
-        let mut s = CompSet::new(self.universe.len());
-        if let Some(orbit) = &self.sym {
-            let classes = orbit.classes(p);
-            for class in 0..classes.class_count() {
-                if classes.orbit_set(class).is_subset(sat) {
-                    s.union_with(classes.member_set(class));
-                }
-            }
-            return s;
-        }
-        let classes = self.iso.classes(p);
-        for class in 0..classes.class_count() {
-            let mset = classes.member_set(class);
-            if mset.is_subset(sat) {
-                s.union_with(mset);
-            }
-        }
-        s
-    }
-
     /// The [`QuotientPolicy::Expand`] fallback: evaluates an
     /// out-of-contract formula over the orbit-expanded virtual universe
     /// (exact full-universe semantics) and projects the verdict back to
     /// the stored representatives.
-    fn expand_sat(&mut self, f: &Formula) -> CompSet {
+    fn expand_sat(&mut self, f: &Formula) -> Result<CompSet, CoreError> {
         let orbits = self
-            .sym
-            .as_ref()
-            .expect("expansion requires an orbit-aware evaluator")
-            .orbits();
-        if self.expansion.is_none() {
-            self.expansion = Some(ExpansionState {
-                xu: ExpandedUniverse::new(orbits),
-                xmemo: HashMap::new(),
-                components: None,
-            });
+            .orbits()
+            .expect("expansion requires an orbit-aware evaluator");
+        // detach the expansion state so the recursion may re-enter
+        // `try_sat_set` (for invariant subtrees) without aliasing it
+        let mut st = self.expansion.take().unwrap_or_else(|| ExpansionState {
+            xu: ExpandedUniverse::new(orbits),
+            xmemo: HashMap::new(),
+            components: None,
+        });
+        let v = Expanded {
+            ev: self,
+            st: &mut st,
+            orbits,
         }
-        // detach the expansion state so the recursion below may re-enter
-        // `sat_set` (for invariant subtrees) without aliasing it
-        let mut st = self.expansion.take().expect("just ensured");
-        let v = self.expand_compute(&mut st, f);
-        let rep = st.xu.project(&v);
+        .sat(f);
+        let rep = v.map(|v| st.xu.project(&v));
         self.expansion = Some(st);
         rep
-    }
-
-    /// Satisfaction of `f` over the virtual members. Invariant subtrees
-    /// evaluate on the quotient fast path and lift their
-    /// representative-level verdicts; everything else runs the standard
-    /// semantics over the virtual `[P]`-classes, which are exactly the
-    /// full universe's.
-    fn expand_compute(&mut self, st: &mut ExpansionState, f: &Formula) -> CompSet {
-        if let Some(s) = st.xmemo.get(f) {
-            return s.clone();
-        }
-        let orbits = self.sym.as_ref().expect("quotient").orbits();
-        let n = st.xu.len();
-        let s = if self.check_symmetry(f).is_invariant() {
-            let rep = self.sat_set(f);
-            st.xu.lift(&rep)
-        } else {
-            match f {
-                Formula::True => CompSet::full(n),
-                Formula::False => CompSet::new(n),
-                Formula::Atom(id) => {
-                    // a relabeling-dependent atom: materialize each
-                    // virtual member π·r and ask the closure directly
-                    let mut s = CompSet::new(n);
-                    for vid in 0..n {
-                        let (rid, ei) = st.xu.member(vid);
-                        let c = self.universe.get(CompId::from_index(rid));
-                        let holds = if ei == 0 {
-                            self.interp.eval(*id, c)
-                        } else {
-                            self.interp.eval(*id, &c.permuted(&orbits.elements()[ei]))
-                        };
-                        if holds {
-                            s.insert(vid);
-                        }
-                    }
-                    s
-                }
-                Formula::Not(g) => {
-                    let mut s = self.expand_compute(st, g);
-                    s.complement();
-                    s
-                }
-                Formula::And(gs) => {
-                    let mut s = CompSet::full(n);
-                    for g in gs {
-                        let sg = self.expand_compute(st, g);
-                        s.intersect_with(&sg);
-                    }
-                    s
-                }
-                Formula::Or(gs) => {
-                    let mut s = CompSet::new(n);
-                    for g in gs {
-                        let sg = self.expand_compute(st, g);
-                        s.union_with(&sg);
-                    }
-                    s
-                }
-                Formula::Implies(a, b) => {
-                    let mut s = self.expand_compute(st, a);
-                    s.complement();
-                    let sb = self.expand_compute(st, b);
-                    s.union_with(&sb);
-                    s
-                }
-                Formula::Iff(a, b) => {
-                    let mut s = self.expand_compute(st, a);
-                    let sb = self.expand_compute(st, b);
-                    s.xor_with(&sb);
-                    s.complement();
-                    s
-                }
-                Formula::Knows(p, g) => {
-                    let sg = self.expand_compute(st, g);
-                    Self::expand_knows(st, orbits, *p, &sg)
-                }
-                Formula::Sure(p, g) => {
-                    let sg = self.expand_compute(st, g);
-                    let mut not_sg = sg.clone();
-                    not_sg.complement();
-                    let mut s = Self::expand_knows(st, orbits, *p, &sg);
-                    let s2 = Self::expand_knows(st, orbits, *p, &not_sg);
-                    s.union_with(&s2);
-                    s
-                }
-                Formula::Everyone(g) => {
-                    let sg = self.expand_compute(st, g);
-                    let mut s = CompSet::full(n);
-                    for pi in 0..self.universe.system_size() {
-                        let p = ProcessSet::singleton(ProcessId::new(pi));
-                        let kp = Self::expand_knows(st, orbits, p, &sg);
-                        s.intersect_with(&kp);
-                    }
-                    s
-                }
-                Formula::Common(g) => {
-                    let sg = self.expand_compute(st, g);
-                    // connected components of ⋃ₚ [p] over the virtual
-                    // members — the full universe's reachability, built
-                    // once per expansion
-                    if st.components.is_none() {
-                        let mut dsu = Dsu::new(n);
-                        for pi in 0..self.universe.system_size() {
-                            let p = ProcessSet::singleton(ProcessId::new(pi));
-                            for set in st.xu.member_sets(orbits, p).iter() {
-                                dsu.chain(set.iter());
-                            }
-                        }
-                        st.components = Some(Components::from_dsu(dsu));
-                    }
-                    st.components.as_ref().expect("just built").common(&sg)
-                }
-            }
-        };
-        st.xmemo.insert(f.clone(), s.clone());
-        s
-    }
-
-    /// `P knows ⟨sat⟩` over the virtual members: the full universe's
-    /// `[P]`-classes are the signature groups of the virtual members.
-    fn expand_knows(st: &ExpansionState, orbits: &Orbits, p: ProcessSet, sat: &CompSet) -> CompSet {
-        let mut s = CompSet::new(st.xu.len());
-        for set in st.xu.member_sets(orbits, p).iter() {
-            if set.is_subset(sat) {
-                s.union_with(set);
-            }
-        }
-        s
-    }
-
-    /// Connected components of `⋃ₚ [p]` over the universe — the
-    /// reachability relation underlying common knowledge. Component labels
-    /// are representative indices.
-    fn components(&mut self) -> &Components {
-        if self.components.is_none() {
-            let mut dsu = Dsu::new(self.universe.len());
-            for pi in 0..self.universe.system_size() {
-                let p = ProcessSet::singleton(ProcessId::new(pi));
-                if let Some(orbit) = &self.sym {
-                    // over the quotient, r and s are related when any
-                    // relabeling of r is [p]-isomorphic to s — i.e. both
-                    // sit in one class's orbit set.
-                    let classes = orbit.classes(p);
-                    for class in 0..classes.class_count() {
-                        dsu.chain(classes.orbit_set(class).iter());
-                    }
-                } else {
-                    let classes = self.iso.classes(p);
-                    for class in 0..classes.class_count() {
-                        dsu.chain(classes.members(class).iter().map(|&i| i as usize));
-                    }
-                }
-            }
-            self.components = Some(Components::from_dsu(dsu));
-        }
-        self.components.as_ref().expect("just initialized")
     }
 
     /// Public view of the common-knowledge components (for diagnostics and
     /// the reproduction report): the component label of each computation.
     pub fn common_knowledge_components(&mut self) -> Vec<u32> {
-        self.components().labels.clone()
+        common_components(self).labels.clone()
     }
 
     /// Clears **all** memoized state: the formula→satisfaction-set memo
@@ -1137,6 +859,235 @@ impl<'u> Evaluator<'u> {
     }
 }
 
+/// The universe a satisfaction-set recursion ranges over. The three
+/// frames — a plain universe, the representatives of a symmetry
+/// quotient (both the [`Evaluator`] itself) and the orbit-expanded
+/// virtual universe ([`Expanded`]) — differ only in what this trait
+/// supplies; [`satisfy`] writes the paper's semantics once for all.
+trait Frame {
+    /// Number of members: satisfaction sets range over `0..len()`.
+    fn len(&self) -> usize;
+    /// Number of processes, for `Everyone` and `Common`.
+    fn system_size(&self) -> usize;
+    /// The satisfaction set of a subformula, through the frame's memo.
+    fn sat(&mut self, f: &Formula) -> Result<CompSet, CoreError>;
+    /// The members at which an atom holds.
+    fn atom(&self, id: AtomId) -> CompSet;
+    /// Calls `visit(test, members)` once per `[P]`-class: `P knows b`
+    /// holds at `members` iff `b` holds throughout `test`.
+    fn classes(&self, p: ProcessSet, visit: impl FnMut(&CompSet, &CompSet));
+    /// The frame's cached common-knowledge components.
+    fn components(&mut self) -> &mut Option<Components>;
+}
+
+/// The satisfaction set of `f` over `frame`: booleans are word-parallel
+/// set algebra, `P knows b` keeps the `[P]`-classes whose test set
+/// satisfies `b`, and `C b` keeps the components of `⋃ₚ [p]` that
+/// satisfy `b` throughout.
+fn satisfy<F: Frame>(frame: &mut F, f: &Formula) -> Result<CompSet, CoreError> {
+    let n = frame.len();
+    Ok(match f {
+        Formula::True => CompSet::full(n),
+        Formula::False => CompSet::new(n),
+        Formula::Atom(id) => frame.atom(*id),
+        Formula::Not(g) => {
+            let mut s = frame.sat(g)?;
+            s.complement();
+            s
+        }
+        Formula::And(gs) => {
+            let mut s = CompSet::full(n);
+            for g in gs {
+                s.intersect_with(&frame.sat(g)?);
+            }
+            s
+        }
+        Formula::Or(gs) => {
+            let mut s = CompSet::new(n);
+            for g in gs {
+                s.union_with(&frame.sat(g)?);
+            }
+            s
+        }
+        Formula::Implies(a, b) => {
+            // ¬a ∨ b
+            let mut s = frame.sat(a)?;
+            s.complement();
+            s.union_with(&frame.sat(b)?);
+            s
+        }
+        Formula::Iff(a, b) => {
+            // a ⇔ b is the complement of a ⊕ b
+            let mut s = frame.sat(a)?;
+            s.xor_with(&frame.sat(b)?);
+            s.complement();
+            s
+        }
+        Formula::Knows(p, g) => {
+            let sg = frame.sat(g)?;
+            knows(frame, *p, |test| test.is_subset(&sg))
+        }
+        Formula::Sure(p, g) => {
+            // (P knows g) ∨ (P knows ¬g): g is constant on the test set
+            let sg = frame.sat(g)?;
+            knows(frame, *p, |test| {
+                test.is_subset(&sg) || !test.intersects(&sg)
+            })
+        }
+        Formula::Everyone(g) => {
+            let sg = frame.sat(g)?;
+            let mut s = CompSet::full(n);
+            for pi in 0..frame.system_size() {
+                let p = ProcessSet::singleton(ProcessId::new(pi));
+                s.intersect_with(&knows(frame, p, |test| test.is_subset(&sg)));
+            }
+            s
+        }
+        Formula::Common(g) => {
+            // a component satisfies iff all its members do
+            let sg = frame.sat(g)?;
+            let mut s = CompSet::new(n);
+            for set in &common_components(frame).sets {
+                if set.is_subset(&sg) {
+                    s.union_with(set);
+                }
+            }
+            s
+        }
+    })
+}
+
+/// The members of every `[P]`-class whose test set passes `holds`.
+fn knows<F: Frame>(frame: &F, p: ProcessSet, holds: impl Fn(&CompSet) -> bool) -> CompSet {
+    let mut s = CompSet::new(frame.len());
+    frame.classes(p, |test, members| {
+        if holds(test) {
+            s.union_with(members);
+        }
+    });
+    s
+}
+
+/// The frame's common-knowledge components, built on first use.
+fn common_components<F: Frame>(frame: &mut F) -> &Components {
+    if frame.components().is_none() {
+        let built = Components::build(frame);
+        *frame.components() = Some(built);
+    }
+    frame.components().as_ref().expect("just built")
+}
+
+/// The evaluator's own universe. Plain, each class of the [`IsoIndex`]
+/// is its own test set; over a symmetry quotient (in-contract formulas
+/// only), a class's test set is every representative whose orbit meets
+/// it ([`OrbitClasses::orbit_set`](crate::OrbitClasses::orbit_set)).
+impl Frame for Evaluator<'_> {
+    fn len(&self) -> usize {
+        self.universe.len()
+    }
+
+    fn system_size(&self) -> usize {
+        self.universe.system_size()
+    }
+
+    fn sat(&mut self, f: &Formula) -> Result<CompSet, CoreError> {
+        self.try_sat_set(f)
+    }
+
+    fn atom(&self, id: AtomId) -> CompSet {
+        let mut s = CompSet::new(self.universe.len());
+        for (i, c) in self.universe.iter() {
+            if self.interp.eval(id, c) {
+                s.insert(i.index());
+            }
+        }
+        s
+    }
+
+    fn classes(&self, p: ProcessSet, mut visit: impl FnMut(&CompSet, &CompSet)) {
+        if let Some(orbit) = &self.sym {
+            let classes = orbit.classes(p);
+            for class in 0..classes.class_count() {
+                visit(classes.orbit_set(class), classes.member_set(class));
+            }
+        } else {
+            let classes = self.iso.classes(p);
+            for class in 0..classes.class_count() {
+                visit(classes.member_set(class), classes.member_set(class));
+            }
+        }
+    }
+
+    fn components(&mut self) -> &mut Option<Components> {
+        &mut self.components
+    }
+}
+
+/// The orbit-expanded virtual universe: one member per distinct
+/// relabeling `π·r`, with the full universe's `[P]`-classes. Its memo
+/// holds virtual sets; an invariant subtree instead takes the quotient
+/// fast path and lifts the representatives' verdict.
+struct Expanded<'a, 'u> {
+    ev: &'a mut Evaluator<'u>,
+    st: &'a mut ExpansionState,
+    orbits: &'u Orbits,
+}
+
+impl Frame for Expanded<'_, '_> {
+    fn len(&self) -> usize {
+        self.st.xu.len()
+    }
+
+    fn system_size(&self) -> usize {
+        self.ev.universe.system_size()
+    }
+
+    fn sat(&mut self, f: &Formula) -> Result<CompSet, CoreError> {
+        if let Some(s) = self.st.xmemo.get(f) {
+            return Ok(s.clone());
+        }
+        let s = if self.ev.check_symmetry(f).is_invariant() {
+            let rep = self.ev.try_sat_set(f)?;
+            self.st.xu.lift(&rep)
+        } else {
+            satisfy(self, f)?
+        };
+        self.st.xmemo.insert(f.clone(), s.clone());
+        Ok(s)
+    }
+
+    fn atom(&self, id: AtomId) -> CompSet {
+        // a relabeling-dependent atom: materialize each virtual member
+        // π·r and ask the closure directly
+        let mut s = CompSet::new(self.st.xu.len());
+        for vid in 0..self.st.xu.len() {
+            let (rid, ei) = self.st.xu.member(vid);
+            let c = self.ev.universe.get(CompId::from_index(rid));
+            let holds = if ei == 0 {
+                self.ev.interp.eval(id, c)
+            } else {
+                self.ev
+                    .interp
+                    .eval(id, &c.permuted(&self.orbits.elements()[ei]))
+            };
+            if holds {
+                s.insert(vid);
+            }
+        }
+        s
+    }
+
+    fn classes(&self, p: ProcessSet, mut visit: impl FnMut(&CompSet, &CompSet)) {
+        for set in self.st.xu.member_sets(self.orbits, p).iter() {
+            visit(set, set);
+        }
+    }
+
+    fn components(&mut self) -> &mut Option<Components> {
+        &mut self.st.components
+    }
+}
+
 /// Minimal union-find with path halving.
 struct Dsu {
     parent: Vec<usize>,
@@ -1157,22 +1108,17 @@ impl Dsu {
         x
     }
 
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent[ra] = rb;
-        }
-    }
-
-    /// Puts every member of `class` into one component, uniting each
-    /// member with the one before it.
+    /// Puts every member of `class` into one component, hanging each
+    /// member's root directly under the first member's root.
     fn chain(&mut self, class: impl IntoIterator<Item = usize>) {
-        let mut prev: Option<usize> = None;
+        let mut root: Option<usize> = None;
         for i in class {
-            if let Some(j) = prev {
-                self.union(j, i);
+            let ri = self.find(i);
+            match root {
+                Some(r) if r != ri => self.parent[ri] = r,
+                Some(_) => {}
+                None => root = Some(ri),
             }
-            prev = Some(i);
         }
     }
 }

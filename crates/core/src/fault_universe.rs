@@ -565,6 +565,29 @@ mod tests {
         assert_eq!(base.crash_drop_grid(&[0.1], &[]).len(), 1);
     }
 
+    /// One valid and one invalid configuration per validation clause:
+    /// the network's own rules, then the crash schedule's range.
+    #[test]
+    fn validate_checks_every_clause() {
+        let drop = |p: f64| {
+            let mut model = FaultModel::default();
+            model.network.default.drop_probability = p;
+            model
+        };
+        let crash =
+            |p: usize| FaultModel::default().with_crash(ProcessId::new(p), SimTime::from_ticks(5));
+        for (label, model, ok) in [
+            ("default", FaultModel::default(), true),
+            ("lossy-quarter", drop(0.25), true),
+            ("crash-in-range", crash(1), true),
+            ("drop-above-one", drop(1.5), false),
+            ("drop-negative", drop(-0.1), false),
+            ("crash-out-of-range", crash(9), false),
+        ] {
+            assert_eq!(model.validate(3).is_ok(), ok, "{label}");
+        }
+    }
+
     #[test]
     fn rejects_bad_configs() {
         let mut model = FaultModel::default();

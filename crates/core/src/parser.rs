@@ -29,11 +29,23 @@
 //! property-tested below.
 //!
 //! Comments (`#` to end of line) and whitespace are ignored.
+//!
+//! Nesting is bounded by [`MAX_FORMULA_DEPTH`], so no input text can
+//! exhaust the stack of the parser or of anything that later walks the
+//! formula.
 
 use crate::formula::{Formula, Interpretation};
 use hpl_model::ProcessSet;
 use std::error::Error;
 use std::fmt;
+
+/// The deepest nesting [`parse`] accepts: at most this many operators
+/// on any root-to-leaf path of the formula, and at most this many
+/// unary operators, parentheses and `->` right-hand sides open at once
+/// in its text. The planner, the soundness checker and the evaluator
+/// recurse once per level, so the bound keeps them far inside a 2 MiB
+/// thread stack.
+pub const MAX_FORMULA_DEPTH: usize = 256;
 
 /// A parse failure, with the byte offset where it occurred.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,16 +68,17 @@ impl Error for ParseError {}
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] describing the first syntax problem or
-/// unknown atom.
+/// Returns a [`ParseError`] describing the first syntax problem,
+/// unknown atom, or nesting past [`MAX_FORMULA_DEPTH`].
 pub fn parse(input: &str, interp: &Interpretation) -> Result<Formula, ParseError> {
     let mut parser = Parser {
         input: input.as_bytes(),
         pos: 0,
         interp,
+        open: 0,
     };
     parser.skip_ws();
-    let f = parser.iff()?;
+    let (f, _) = parser.iff()?;
     parser.skip_ws();
     if parser.pos != parser.input.len() {
         return Err(parser.err("trailing input"));
@@ -73,10 +86,17 @@ pub fn parse(input: &str, interp: &Interpretation) -> Result<Formula, ParseError
     Ok(f)
 }
 
+/// A parsed subformula and its depth: the operators on its longest
+/// root-to-leaf path.
+type Parsed = (Formula, usize);
+
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
     interp: &'a Interpretation,
+    /// Unary operands, parenthesized groups and `->` right-hand sides
+    /// being parsed — the parser's own recursion depth.
+    open: usize,
 }
 
 impl Parser<'_> {
@@ -85,6 +105,42 @@ impl Parser<'_> {
             position: self.pos,
             message: message.to_owned(),
         }
+    }
+
+    fn too_deep(&self) -> ParseError {
+        self.err(&format!(
+            "formula nests deeper than {MAX_FORMULA_DEPTH} levels"
+        ))
+    }
+
+    /// Runs `rule` one recursion level down, refusing to open more than
+    /// [`MAX_FORMULA_DEPTH`] levels.
+    fn nested(
+        &mut self,
+        rule: fn(&mut Self) -> Result<Parsed, ParseError>,
+    ) -> Result<Parsed, ParseError> {
+        if self.open == MAX_FORMULA_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.open += 1;
+        let parsed = rule(self);
+        self.open -= 1;
+        parsed
+    }
+
+    /// The depth of an operator over operands at most `depth` deep.
+    fn above(&self, depth: usize) -> Result<usize, ParseError> {
+        if depth < MAX_FORMULA_DEPTH {
+            Ok(depth + 1)
+        } else {
+            Err(self.too_deep())
+        }
+    }
+
+    /// The operand of a unary operator, with the operator's depth.
+    fn operand(&mut self) -> Result<Parsed, ParseError> {
+        let (f, depth) = self.nested(Self::unary)?;
+        Ok((f, self.above(depth)?))
     }
 
     fn skip_ws(&mut self) {
@@ -136,59 +192,63 @@ impl Parser<'_> {
         Some(w)
     }
 
-    fn iff(&mut self) -> Result<Formula, ParseError> {
-        let mut lhs = self.implies()?;
+    fn iff(&mut self) -> Result<Parsed, ParseError> {
+        let (mut lhs, mut depth) = self.implies()?;
         while self.eat("<->") || self.eat("\u{21d4}") {
-            let rhs = self.implies()?;
+            let (rhs, d) = self.implies()?;
+            depth = self.above(depth.max(d))?;
             lhs = lhs.iff(rhs);
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn implies(&mut self) -> Result<Formula, ParseError> {
-        let lhs = self.or()?;
+    fn implies(&mut self) -> Result<Parsed, ParseError> {
+        let (lhs, depth) = self.or()?;
         // right associative: a -> b -> c = a -> (b -> c)
         if self.eat("->") || self.eat("\u{21d2}") {
-            let rhs = self.implies()?;
-            return Ok(lhs.implies(rhs));
+            let (rhs, d) = self.nested(Self::implies)?;
+            return Ok((lhs.implies(rhs), self.above(depth.max(d))?));
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn or(&mut self) -> Result<Formula, ParseError> {
-        let mut lhs = self.and()?;
+    fn or(&mut self) -> Result<Parsed, ParseError> {
+        let (mut lhs, mut depth) = self.and()?;
         loop {
             self.skip_ws();
             // careful: "|" but not part of "||" nonsense — single | only
             if self.eat("|") || self.eat("\u{2228}") {
-                let rhs = self.and()?;
+                let (rhs, d) = self.and()?;
+                depth = self.above(depth.max(d))?;
                 lhs = lhs.or(rhs);
             } else {
-                return Ok(lhs);
+                return Ok((lhs, depth));
             }
         }
     }
 
-    fn and(&mut self) -> Result<Formula, ParseError> {
-        let mut lhs = self.unary()?;
+    fn and(&mut self) -> Result<Parsed, ParseError> {
+        let (mut lhs, mut depth) = self.unary()?;
         while self.eat("&") || self.eat("\u{2227}") {
-            let rhs = self.unary()?;
+            let (rhs, d) = self.unary()?;
+            depth = self.above(depth.max(d))?;
             lhs = lhs.and(rhs);
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn unary(&mut self) -> Result<Formula, ParseError> {
+    fn unary(&mut self) -> Result<Parsed, ParseError> {
         self.skip_ws();
         if self.eat("!") || self.eat("\u{00ac}") {
-            return Ok(self.unary()?.not());
+            let (f, depth) = self.operand()?;
+            return Ok((f.not(), depth));
         }
         if self.eat("(") {
-            let f = self.iff()?;
+            let parsed = self.nested(Self::iff)?;
             if !self.eat(")") {
                 return Err(self.err("expected ')'"));
             }
-            return Ok(f);
+            return Ok(parsed);
         }
         let Some(word) = self.peek_word() else {
             return Err(self.err("expected a formula"));
@@ -196,35 +256,40 @@ impl Parser<'_> {
         match word {
             "true" => {
                 self.take_word();
-                Ok(Formula::True)
+                Ok((Formula::True, 0))
             }
             "false" => {
                 self.take_word();
-                Ok(Formula::False)
+                Ok((Formula::False, 0))
             }
             "K" | "Sure" => {
                 let op = self.take_word().expect("peeked");
                 let set = self.procset()?;
-                let inner = self.unary()?;
-                Ok(if op == "K" {
-                    Formula::knows(set, inner)
-                } else {
-                    Formula::sure(set, inner)
-                })
+                let (inner, depth) = self.operand()?;
+                Ok((
+                    if op == "K" {
+                        Formula::knows(set, inner)
+                    } else {
+                        Formula::sure(set, inner)
+                    },
+                    depth,
+                ))
             }
             "E" => {
                 self.take_word();
-                Ok(Formula::everyone(self.unary()?))
+                let (f, depth) = self.operand()?;
+                Ok((Formula::everyone(f), depth))
             }
             "C" => {
                 self.take_word();
-                Ok(Formula::common(self.unary()?))
+                let (f, depth) = self.operand()?;
+                Ok((Formula::common(f), depth))
             }
             _ => {
                 let name = self.take_word().expect("peeked");
                 for id in self.interp.ids() {
                     if self.interp.name(id) == name {
-                        return Ok(Formula::atom(id));
+                        return Ok((Formula::atom(id), 0));
                     }
                 }
                 self.pos -= name.len();
@@ -371,6 +436,35 @@ mod tests {
         let e6 = parse("", &i).unwrap_err();
         assert!(e6.message.contains("expected a formula"));
         assert!(!e6.to_string().is_empty());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let i = interp();
+        let chain = |k: usize| format!("{}alpha", "K{p0} ".repeat(k));
+        let at_limit = parse(&chain(MAX_FORMULA_DEPTH), &i).expect("a chain at the limit parses");
+        assert_eq!(at_limit.knowledge_depth(), MAX_FORMULA_DEPTH);
+        let past = parse(&chain(MAX_FORMULA_DEPTH + 1), &i).unwrap_err();
+        assert!(past.message.contains("deeper than"), "{past}");
+        // each would overflow the stack of a recursive parser or of
+        // whatever walks the formula afterwards
+        for text in [
+            format!("{}alpha", "!".repeat(20_000)),
+            "(".repeat(200_000),
+            format!("{}alpha", "alpha -> ".repeat(20_000)),
+            format!("alpha{}", " & alpha".repeat(20_000)),
+            format!("alpha{}", " <-> alpha".repeat(20_000)),
+            format!("{}alpha{}", "(".repeat(300), ")".repeat(300)),
+        ] {
+            let e = parse(&text, &i).unwrap_err();
+            assert!(e.message.contains("deeper than"), "{e}");
+        }
+        // a formula's depth counts every operator, including the links
+        // of a left-nested chain
+        let links = format!("alpha{}", " | alpha".repeat(MAX_FORMULA_DEPTH));
+        assert!(parse(&links, &i).is_ok());
+        let deeper = format!("!({links})");
+        assert!(parse(&deeper, &i).is_err());
     }
 
     #[test]

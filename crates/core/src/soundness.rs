@@ -42,9 +42,8 @@
 //! `OutOfContract` formulas would be silently mis-evaluated; the
 //! [`QuotientPolicy`](crate::QuotientPolicy) of
 //! [`Evaluator::with_symmetry`](crate::Evaluator::with_symmetry)
-//! decides whether they are rejected with a typed error, transparently
-//! corrected on orbit-expanded classes, or (explicitly opted into)
-//! trusted.
+//! decides whether they are rejected with a typed error or
+//! transparently corrected on orbit-expanded classes.
 //!
 //! The analysis is *conservative*: it never admits a formula that can
 //! diverge (assuming honest atom declarations and a closed group,
@@ -257,14 +256,11 @@ pub fn classify_invariance(
 /// once, children strictly before parents, `f` itself last, each paired
 /// with its [`classify_invariance`] verdict.
 ///
-/// This is the query planner's hook: a planner can turn the schedule
-/// directly into an evaluation order (bottom-up, so every memo lookup
-/// of a child hits) and use the per-subtree verdicts for
-/// quotient-vs-full selection — `Invariant` subtrees stay on the
-/// quotient fast path, `OutOfContract` ones are known in advance to
-/// take the policy fallback (orbit expansion or rejection). Duplicate
-/// subtrees appear once, which is exactly the common-subformula
-/// deduplication the evaluator's memo exploits.
+/// This is the query planner's diagnostic view: the per-subtree
+/// verdicts say in advance which subtrees stay on the quotient fast
+/// path and which take the policy fallback (orbit expansion or
+/// rejection). Duplicate subtrees appear once, which is exactly the
+/// common-subformula deduplication the evaluator's memo exploits.
 #[must_use]
 pub fn classify_subformulas(
     f: &Formula,

@@ -1,15 +1,16 @@
 //! The query planner: constant folding, common-subformula
 //! deduplication, and quotient-vs-full selection per subtree.
 //!
-//! A [`QueryPlan`] is a bottom-up evaluation schedule over the
-//! **distinct** subformulas of a (constant-folded) formula. Executing
-//! the schedule against an [`Evaluator`] walks children strictly before
-//! parents, so every recursive satisfaction-set lookup during a parent
-//! step hits the memo — shared subtrees are computed once no matter how
-//! often they occur. On quotient snapshots each step also carries the
-//! PR 5 soundness verdict ([`classify_subformulas`]), so the plan
-//! records in advance which subtrees stay on the quotient fast path and
-//! which will take the policy fallback (orbit expansion under
+//! A [`QueryPlan`] holds the constant-folded root and, as a diagnostic
+//! view, the **distinct** subformulas of that root (children before
+//! parents). [`execute`] evaluates the root with one
+//! [`Evaluator::try_sat_set`] call: the evaluator's memo computes each
+//! distinct subformula once no matter how often it occurs, and an
+//! attached [`SatCache`](hpl_core::SatCache) answers a repeated query
+//! with one lookup. On quotient snapshots each step also carries its
+//! soundness verdict ([`classify_subformulas`]), so the plan records in
+//! advance which subtrees stay on the quotient fast path and which will
+//! take the policy fallback (orbit expansion under
 //! [`QuotientPolicy::Expand`](hpl_core::QuotientPolicy::Expand), typed
 //! rejection under
 //! [`QuotientPolicy::Reject`](hpl_core::QuotientPolicy::Reject)).
@@ -40,8 +41,8 @@ pub enum SubtreeMode {
     Fallback,
 }
 
-/// One step of the bottom-up schedule: a distinct subformula and the
-/// evaluation mode the planner selected for it.
+/// One distinct subformula of a plan and the evaluation mode the
+/// planner selected for it.
 #[derive(Clone, Debug)]
 pub struct PlanStep {
     /// The subformula this step computes the satisfaction set of.
@@ -58,10 +59,10 @@ pub struct PlanStats {
     pub nodes: usize,
     /// Nodes removed by constant folding.
     pub folded: usize,
-    /// Distinct subformulas scheduled (the schedule length).
+    /// Distinct subformulas (the number of plan steps).
     pub unique: usize,
     /// Duplicate occurrences eliminated by common-subformula dedup
-    /// (post-fold nodes minus schedule length).
+    /// (post-fold nodes minus distinct subformulas).
     pub deduped: usize,
     /// Steps staying on the quotient fast path.
     pub quotient_steps: usize,
@@ -69,7 +70,7 @@ pub struct PlanStats {
     pub fallback_steps: usize,
 }
 
-/// A planned query: the folded root, its bottom-up schedule, and the
+/// A planned query: the folded root, its distinct subformulas, and the
 /// planning counters.
 #[derive(Clone, Debug)]
 pub struct QueryPlan {
@@ -87,7 +88,9 @@ impl QueryPlan {
         &self.root
     }
 
-    /// The bottom-up schedule (children before parents, root last).
+    /// The distinct subformulas with their evaluation modes (children
+    /// before parents, root last) — the work [`execute`] does on a cold
+    /// evaluator.
     #[must_use]
     pub fn steps(&self) -> &[PlanStep] {
         &self.steps
@@ -100,8 +103,8 @@ impl QueryPlan {
     }
 }
 
-/// Plans `f` for a snapshot: folds constants, deduplicates common
-/// subformulas into a bottom-up schedule, and — when `generators`
+/// Plans `f` for a snapshot: folds constants, lists the distinct
+/// subformulas, and — when `generators`
 /// describe the snapshot's symmetry group — selects quotient-vs-full
 /// per subtree with the soundness classifier. Pass `None` for plain
 /// (non-quotient) snapshots.
@@ -148,24 +151,19 @@ pub fn plan(f: &Formula, interp: &Interpretation, generators: Option<&[Permutati
     QueryPlan { root, steps, stats }
 }
 
-/// Executes a plan against an evaluator: walks the schedule bottom-up
-/// (each step's satisfaction set lands in the memo before any parent
-/// needs it) and returns the root's satisfaction set.
+/// Executes a plan against an evaluator: one
+/// [`try_sat_set`](Evaluator::try_sat_set) on the folded root, whose
+/// recursion computes each distinct subformula once through the
+/// evaluator's memo.
 ///
 /// # Errors
 ///
-/// Propagates
-/// [`CoreError::QuotientUnsound`] from a
-/// fallback step under
-/// [`QuotientPolicy::Reject`](hpl_core::QuotientPolicy::Reject);
-/// infallible for every other configuration (root soundness implies
-/// subformula soundness — the checker's lattice is monotone).
+/// Propagates [`CoreError::QuotientUnsound`] under
+/// [`QuotientPolicy::Reject`](hpl_core::QuotientPolicy::Reject) when
+/// the plan has a fallback step; infallible for every other
+/// configuration.
 pub fn execute(plan: &QueryPlan, eval: &mut Evaluator<'_>) -> Result<CompSet, CoreError> {
-    let mut last = None;
-    for step in plan.steps() {
-        last = Some(eval.try_sat_set(&step.formula)?);
-    }
-    Ok(last.expect("a plan schedules at least its root"))
+    eval.try_sat_set(plan.root())
 }
 
 /// Total node count of a formula (duplicates included).

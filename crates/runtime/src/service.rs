@@ -25,6 +25,7 @@ use crate::planner::{self, QueryPlan};
 use crate::session::Session;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use hpl_core::isomorphism::ClassCache;
+use hpl_core::parser::MAX_FORMULA_DEPTH;
 use hpl_core::{
     eval_propositional, CompSet, CoreError, Evaluator, Formula, GrowthMap, Interpretation, Orbits,
     QuotientPolicy, SatCache, SatCacheStats, Universe, DEFAULT_SAT_CACHE_CAPACITY,
@@ -50,6 +51,9 @@ pub enum QueryError {
     /// The formula text did not parse against the scenario's
     /// interpretation.
     Parse(String),
+    /// The formula nests operators deeper than
+    /// [`MAX_FORMULA_DEPTH`].
+    TooDeep,
     /// No scenario registered under this name.
     UnknownScenario(String),
     /// The quotient snapshot rejected the query as out of the symmetry
@@ -68,6 +72,9 @@ impl fmt::Display for QueryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             QueryError::Parse(m) => write!(f, "parse error: {m}"),
+            QueryError::TooDeep => {
+                write!(f, "formula nests deeper than {MAX_FORMULA_DEPTH} operators")
+            }
             QueryError::UnknownScenario(s) => write!(f, "unknown scenario: {s}"),
             QueryError::Unsound(m) => write!(f, "query rejected: {m}"),
             QueryError::ServiceStopped => write!(f, "query service stopped"),

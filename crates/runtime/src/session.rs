@@ -12,6 +12,7 @@ use crate::batching::Ticket;
 use crate::planner::PlanStats;
 use crate::service::{Job, JobSlot, Outcome, QueryError, Snapshot};
 use crossbeam::channel::unbounded;
+use hpl_core::parser::MAX_FORMULA_DEPTH;
 use hpl_core::{parse, CompSet, Formula};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -101,12 +102,18 @@ impl Session {
     ///
     /// # Errors
     ///
+    /// [`QueryError::TooDeep`] when `f` nests more than
+    /// [`MAX_FORMULA_DEPTH`] operators on some path (checked before
+    /// planning, without recursion);
     /// [`QueryError::Unsound`] when a `Reject`-policy quotient snapshot
     /// refuses an out-of-contract formula;
     /// [`QueryError::ServiceStopped`] after the service dropped.
     pub fn query_formula(&self, f: &Formula) -> Result<QueryResponse, QueryError> {
         let _query = hpl_telemetry::span("query");
         hpl_telemetry::counter_add("query.requests", 1);
+        if nests_too_deep(f) {
+            return Err(QueryError::TooDeep);
+        }
         // analyze:allow(wall-clock) query-latency telemetry; never affects results
         let start = Instant::now();
         let plan = {
@@ -212,4 +219,30 @@ impl Session {
         // analyze:blocking(service.reply)
         rx.recv().map_err(|_| QueryError::ServiceStopped)?
     }
+}
+
+/// Whether some root-to-leaf path of `f` holds more than
+/// [`MAX_FORMULA_DEPTH`] operators — an explicit-stack walk, so a
+/// formula of any depth is measured without touching the call stack.
+fn nests_too_deep(f: &Formula) -> bool {
+    let mut stack = vec![(f, 0)];
+    while let Some((g, depth)) = stack.pop() {
+        if depth > MAX_FORMULA_DEPTH {
+            return true;
+        }
+        match g {
+            Formula::True | Formula::False | Formula::Atom(_) => {}
+            Formula::Not(h)
+            | Formula::Knows(_, h)
+            | Formula::Sure(_, h)
+            | Formula::Everyone(h)
+            | Formula::Common(h) => stack.push((h, depth + 1)),
+            Formula::And(hs) | Formula::Or(hs) => stack.extend(hs.iter().map(|h| (h, depth + 1))),
+            Formula::Implies(a, b) | Formula::Iff(a, b) => {
+                stack.push((a, depth + 1));
+                stack.push((b, depth + 1));
+            }
+        }
+    }
+    false
 }

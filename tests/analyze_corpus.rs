@@ -61,7 +61,6 @@ fn every_contract_fixture_fires_its_rule() {
         ("undeclared-invariant", "atom-invariance-missing"),
         ("wrongly-declared-invariant", "atom-invariance-unsound"),
         ("unwellformed-atom", "atom-not-wellformed"),
-        ("validation-drift", "fault-validation-drift"),
     ];
     assert_eq!(
         expected.len(),

@@ -26,9 +26,9 @@
 
 use hpl_core::symmetry::struct_signature;
 use hpl_core::{
-    canonical_key, check_closure, enumerate_sharded, CompId, CoreError, EnumerationLimits,
-    Evaluator, Formula, Interpretation, Invariance, LocalStep, LocalView, ProtoAction, Protocol,
-    QuotientPolicy, ShardConfig, ShardedEnumeration, VarianceCause,
+    canonical_key, check_closure, enumerate_sharded, CompId, CompSet, CoreError, EnumerationLimits,
+    Evaluator, Formula, Interpretation, Invariance, LocalStep, LocalView, OrbitIndex, ProtoAction,
+    Protocol, QuotientPolicy, ShardConfig, ShardedEnumeration, VarianceCause,
 };
 use hpl_model::{
     ActionId, Computation, ComputationBuilder, MessageId, ProcessId, ProcessSet, SymmetryGroup,
@@ -424,11 +424,11 @@ fn declared_groups_are_really_automorphism_groups() {
 // The soundness hole, demonstrated and closed
 // ---------------------------------------------------------------------
 
-/// The minimal witness of the latent bug this PR closes: two
-/// interchangeable clocks, nested `knows` over the (non-stabilized)
-/// singletons. `Trust` — the old, unchecked behavior — returns a
-/// silently wrong verdict; the checker pinpoints it, `Reject` turns it
-/// into a typed error, and `Expand` (the new default) corrects it.
+/// The minimal witness of the latent bug the soundness checker closes:
+/// two interchangeable clocks, nested `knows` over the (non-stabilized)
+/// singletons. The unchecked quotient fast path returns a silently
+/// wrong verdict; the checker pinpoints it, `Reject` turns it into a
+/// typed error, and `Expand` (the default) corrects it.
 #[test]
 fn trust_divergence_is_classified_rejected_and_corrected() {
     let p = SymClocks { n: 2, k: 1 };
@@ -446,7 +446,7 @@ fn trust_divergence_is_classified_rejected_and_corrected() {
 
     let mut interp = Interpretation::new();
     let nonempty = Formula::atom(interp.register_invariant("nonempty", |c| !c.is_empty()));
-    let inner = Formula::knows(ProcessSet::singleton(pid(0)), nonempty);
+    let inner = Formula::knows(ProcessSet::singleton(pid(0)), nonempty.clone());
     let f = Formula::knows(ProcessSet::singleton(pid(1)), inner.clone());
 
     let mut eval_full = Evaluator::new(full.universe(), &interp);
@@ -460,16 +460,25 @@ fn trust_divergence_is_classified_rejected_and_corrected() {
         })
         .collect();
 
-    // Trust (the old default) silently diverges on this formula …
-    let mut trust = Evaluator::with_symmetry_policy(qu, &interp, orbits, QuotientPolicy::Trust);
-    let st = trust.sat_set(&f);
+    // the unchecked quotient fast path (K{p0}, then K{p1}, each over
+    // the stored verdicts) silently diverges on this formula …
+    let index = OrbitIndex::new(qu, orbits);
+    let mut st = Evaluator::with_symmetry(qu, &interp, orbits).sat_set(&nonempty);
+    for p in [pid(0), pid(1)] {
+        let classes = index.classes(ProcessSet::singleton(p));
+        let mut knows = CompSet::new(qu.len());
+        for class in (0..classes.class_count()).filter(|&k| classes.orbit_set(k).is_subset(&st)) {
+            knows.union_with(classes.member_set(class));
+        }
+        st = knows;
+    }
     let diverged = map
         .iter()
         .enumerate()
         .any(|(rid, fid)| st.contains(rid) != sf.contains(fid.index()));
     assert!(
         diverged,
-        "the latent bug must be reproducible under Trust, or this witness is vacuous"
+        "the latent bug must be reproducible on the unchecked fast path, or this witness is vacuous"
     );
 
     // … the checker classifies it out of contract, naming the inner
@@ -573,7 +582,7 @@ fn random_formula(rng: &mut StdRng, atoms: &[Formula], n: usize, depth: usize) -
         let bits = rng.random_range(1..(1u32 << n));
         ProcessSet::from_indices((0..n).filter(|i| bits >> i & 1 == 1))
     };
-    match rng.random_range(0..8) {
+    match rng.random_range(0..9) {
         0 => random_formula(rng, atoms, n, depth - 1).not(),
         1 => random_formula(rng, atoms, n, depth - 1).and(random_formula(rng, atoms, n, depth - 1)),
         2 => random_formula(rng, atoms, n, depth - 1).or(random_formula(rng, atoms, n, depth - 1)),
@@ -592,18 +601,22 @@ fn random_formula(rng: &mut StdRng, atoms: &[Formula], n: usize, depth: usize) -
             Formula::sure(p, random_formula(rng, atoms, n, depth - 1))
         }
         6 => Formula::everyone(random_formula(rng, atoms, n, depth - 1)),
+        7 => random_formula(rng, atoms, n, depth - 1).iff(random_formula(rng, atoms, n, depth - 1)),
         _ => Formula::common(random_formula(rng, atoms, n, depth - 1)),
     }
 }
 
 /// One adversarial case: certifies, for a random formula,
 ///
-/// 1. any Trust-vs-full divergence is classified out of contract,
-/// 2. `Expand` always matches the full universe pointwise at the
+/// 1. `Expand` always matches the full universe pointwise at the
 ///    representatives,
-/// 3. `Reject` admits exactly the formulas the checker calls sound
+/// 2. `Reject` admits exactly the formulas the checker calls sound
 ///    (and answers them identically), and
-/// 4. invariant formulas expand their satisfaction counts exactly.
+/// 3. invariant formulas expand their satisfaction counts exactly.
+///
+/// On a sound formula `Reject` runs exactly the unchecked quotient fast
+/// path, so (1) and (2) together say every divergence of that path from
+/// the full universe is classified out of contract.
 fn adversarial_case(setup: &AdversarialSetup, n: usize, seed: u64) {
     let (interp, atoms) = adversarial_interp();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -620,24 +633,9 @@ fn adversarial_case(setup: &AdversarialSetup, n: usize, seed: u64) {
     let mut eval_full = Evaluator::new(full_u, &interp);
     let sf = eval_full.sat_set(&f);
 
-    let mut trust = Evaluator::with_symmetry_policy(qu, &interp, orbits, QuotientPolicy::Trust);
-    let st = trust.sat_set(&f);
-    let diverged = map
-        .iter()
-        .enumerate()
-        .any(|(rid, fid)| st.contains(rid) != sf.contains(fid.index()));
-    let cls = trust.check_symmetry(&f);
-
-    // (1) every silent wrong answer is caught by the static checker
-    if diverged {
-        assert!(
-            !cls.is_sound(),
-            "seed {seed}: {f:?} diverges under Trust but was classified {cls:?}"
-        );
-    }
-
-    // (2) the Expand fallback restores full-universe semantics
+    // (1) the Expand fallback restores full-universe semantics
     let mut expand = Evaluator::with_symmetry(qu, &interp, orbits);
+    let cls = expand.check_symmetry(&f);
     let se = expand.sat_set(&f);
     for (rid, fid) in map.iter().enumerate() {
         assert_eq!(
@@ -647,7 +645,7 @@ fn adversarial_case(setup: &AdversarialSetup, n: usize, seed: u64) {
         );
     }
 
-    // (3) Reject admits exactly the sound formulas
+    // (2) Reject admits exactly the sound formulas
     let mut reject = Evaluator::with_symmetry_policy(qu, &interp, orbits, QuotientPolicy::Reject);
     match (cls.is_sound(), reject.try_sat_set(&f)) {
         (true, Ok(sr)) => assert_eq!(sr, se, "seed {seed}: policies disagree on sound {f:?}"),
@@ -657,7 +655,7 @@ fn adversarial_case(setup: &AdversarialSetup, n: usize, seed: u64) {
         (false, Err(e)) => panic!("seed {seed}: unexpected error {e}"),
     }
 
-    // (4) invariant verdicts expand their counts exactly
+    // (3) invariant verdicts expand their counts exactly
     if cls.is_invariant() {
         assert_eq!(
             orbits.expanded_count(&se).expect("small universes"),
