@@ -2,11 +2,10 @@
 //! recorder's primitives (what every hot loop pays when telemetry is
 //! off — must stay in the nanoseconds), the enabled-path cost (what an
 //! instrumented pass pays), and the end-to-end delta on a sharded
-//! enumeration. The CI assertion for "telemetry off costs nothing" is
-//! the existing wall-time gate of `repro --json`, whose timed regions
-//! run with the recorder disabled; this bench is where the number
-//! itself is measured and the enabled overhead is documented (see
-//! benchmarks/README.md).
+//! enumeration. The repository benchmark (`perfbench`) never enables
+//! the recorder, so its end-to-end metrics include what telemetry-off
+//! costs; this bench is where that cost and the enabled overhead are
+//! measured on their own.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpl_bench::InterleavingStress;

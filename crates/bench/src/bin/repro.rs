@@ -2,97 +2,32 @@
 //!
 //! Regenerates, in one run, every figure, worked example and application
 //! of Chandy & Misra's *How Processes Learn* (PODC 1985), printing
-//! paper-claim vs measured-result rows. EXPERIMENTS.md is filled from
-//! this output.
+//! paper-claim vs measured-result rows.
 //!
 //! Usage: `cargo run --release -p hpl-bench --bin repro [section…]`
 //! where sections are any of:
-//! `figures example axioms local properties theorem1 extension transfer
-//! generals tracking failure termination ablation extras sweep faults`
-//! (default: all).
+//! `figures example properties axioms local theorem1 extension transfer
+//! generals faults tracking failure termination ablation extras sweep`
+//! (default: all, in that order).
 //!
-//! Performance-report mode:
-//! `repro --json [--out PATH] [--baseline PATH]` runs the perf scenarios
-//! instead of the paper report and writes a machine-readable
-//! `BENCH_*.json` (schema in DESIGN.md). With `--baseline`, exits
-//! non-zero if any scenario's wall time regressed more than 25 %
-//! (override with `--tolerance FRACTION`) or any sharded scenario's
-//! active merge time (`merge_wall_ms`) regressed more than 100 %
-//! (override with `--merge-tolerance FRACTION`; wide because on
-//! single-core runners the metric includes worker preemption and
-//! varies ~±45 % run to run — tighten it on dedicated multi-core
-//! runners, where the merge overlaps exploration and the measurement
-//! approaches true CPU time).
-//! Quotient scenarios are additionally gated on their
-//! symmetry-reduction factor staying at or above `--min-reduction`
-//! (default 5×) — measured **with** the symmetry-soundness checker in
-//! the loop: each quotient scenario times a formula pass under
-//! `QuotientPolicy::Expand` (the default) and records the v4-schema
-//! admission counts (`formulas_admitted` / `formulas_expanded` /
-//! `formulas_rejected`), so the checker's orbit-expansion fallback can
-//! never silently eat the quotient speedup. Comparisons a gate had to
-//! skip (zero/missing baseline metric, non-finite current value) are
-//! printed as warnings instead of poisoning the ratios.
-//! The v5 schema adds the fault-model sweep (`fault_scenarios`):
-//! Two Generals universes sampled from seeded lossy/partitioned
-//! simulations at drop rates 0 → 0.5, each carrying the machine-checked
-//! witness fields (`ck_attained`, `knows_attained`,
-//! `max_knowledge_level`). Like the quotient gate, the witness gate
-//! runs without a baseline — common knowledge attained anywhere, or
-//! plain knowledge attained nowhere, fails the run.
-//! The v6 schema adds the query-service records (`query_scenarios`):
-//! `repro query-bench --json` measures queries/sec through the
-//! persistent [`hpl_runtime::QueryService`] at 1/4/16 concurrent
-//! clients over token-bus (quotient), push-gossip and Two Generals
-//! snapshots, gated as a throughput **floor** (`--qps-tolerance`,
-//! default 0.5 — generous because single-core runners serialize the
-//! client fleet) plus an unconditional determinism witness. `repro
-//! serve` opens the same snapshots behind a line-oriented REPL
-//! (`:stats [scenario]` prints the Prometheus-style metrics snapshot).
+//! Three modes run instead of the report:
 //!
-//! The v7 schema adds the telemetry surfaces. Timed regions keep the
-//! recorder **disabled** — the wall gate doubles as the zero-overhead
-//! assertion — and each sharded scenario then re-runs once with the
-//! recorder enabled (the *instrumented pass*), attaching a `telemetry`
-//! object: stage wall breakdown (`explore_ms` / `merge_ms` /
-//! `renumber_ms`), merge credit-stall time and its share of explore
-//! time (`stall_share`, gated absolutely by `--stall-tolerance`,
-//! default 0.5), and `telemetry_wall_ms`, the telemetry-on wall time
-//! whose delta against `wall_ms` is the documented recorder overhead.
-//! Query records gain `cache_hit_rate`, gated as a baseline-free floor
-//! (`--min-cache-hit-rate`, default 0.5 — the workloads repeat their
-//! formula batch, so the satisfaction cache must carry the repeats).
-//! Both gates skip with a warning when no record carries the metric.
+//! - `repro serve` opens the query workloads behind a line-oriented REPL
+//!   on the persistent [`hpl_runtime::QueryService`] (`:stats [scenario]`
+//!   prints the Prometheus-style metrics snapshot).
+//! - `repro trace [stress|query|faults|all] [--chrome PATH]` runs the
+//!   named scenario once with span tracing on and writes a Chrome
+//!   trace-event JSON (load in Perfetto / `chrome://tracing`) showing the
+//!   per-shard explore/merge/renumber spans and the per-query
+//!   parse/plan/eval/respond stages.
+//! - `repro analyze [--json] [--out PATH] [--root DIR] [--config PATH]
+//!   [--fixture NAME]` runs the workspace static analysis; any finding
+//!   exits 8.
 //!
-//! The v8 schema adds the incremental-growth records
-//! (`incremental_scenarios`): `repro sweep --incremental` enumerates a
-//! checkpointed universe at a shallow horizon, grows it in place with
-//! [`hpl_core::extend_sharded`] to the depth-14 sweep horizon, and
-//! times the extension chain against a from-scratch rebuild at that
-//! horizon under the same configuration. Each record carries
-//! `extend_wall_ms` / `rebuild_wall_ms`, the `speedup` ratio, the
-//! frontier `resumed` count, and the per-run byte-identity witness
-//! `identical` (same computations in the same order, same event
-//! bindings, same payload table). The gate is baseline-free: every
-//! record must be byte-identical **and** reach the `--min-speedup`
-//! floor (default 1.0 — growing must beat rebuilding), and on
-//! bootstrap (no records) it skips with a warning instead of passing
-//! silently.
-//!
-//! Trace mode: `repro trace [stress|query|faults|all] --chrome PATH`
-//! runs the named scenario once with span tracing on and writes a
-//! Chrome trace-event JSON (load in Perfetto / `chrome://tracing`)
-//! showing the per-shard explore/merge/renumber spans and the
-//! per-query parse/plan/eval/respond stages.
-//!
-//! Gate failures exit with a distinct code per class so CI logs say
-//! what broke without scraping: wall/merge time 2, quotient reduction
-//! 3, fault witness 4, query throughput/determinism 5, telemetry
-//! (stall share / cache hit rate) 6, incremental growth (identity or
-//! speedup floor) 7 (the lowest-numbered failing class wins; every
-//! class still prints its diagnostics first).
+//! An unknown section or flag, or a flag given outside the mode that
+//! reads it, prints the usage and exits 2. Performance is measured by the
+//! separate `perfbench` package that `BENCHMARK.json` names, not here.
 
-use hpl_bench::report::{FaultScenario, IncrementalScenario, PerfReport, QueryScenario, Scenario};
 use hpl_bench::{random_computation, InterleavingStress};
 use hpl_core::isomorphism::properties;
 use hpl_core::{
@@ -105,203 +40,178 @@ use hpl_protocols::termination::{run_detector, DetectorKind, WorkloadConfig};
 use hpl_protocols::tracking::accuracy_run;
 use hpl_protocols::two_generals;
 use hpl_protocols::{failure, token_bus, tracking};
-use hpl_sim::{ChannelConfig, DelayModel, NetworkConfig, PartitionSchedule, SimTime};
+use hpl_sim::{ChannelConfig, DelayModel, NetworkConfig, SimTime};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut args: Vec<String> = Vec::new();
-    let mut json = false;
-    let mut serve = false;
-    let mut query_bench = false;
-    let mut incremental = false;
-    let mut analyze = false;
-    let mut analyze_root: Option<String> = None;
-    let mut analyze_config: Option<String> = None;
-    let mut analyze_fixture: Option<String> = None;
-    let mut trace: Option<String> = None;
-    let mut chrome_out: Option<String> = None;
-    let mut out_path: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut tolerance = 0.25f64;
-    let mut merge_tolerance = 1.0f64;
-    let mut min_reduction = 5.0f64;
-    let mut qps_tolerance = 0.5f64;
-    let mut stall_tolerance = 0.5f64;
-    let mut min_cache_hit_rate = 0.5f64;
-    let mut min_speedup = 1.0f64;
-    let mut it = raw.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "serve" => serve = true,
-            "query-bench" => query_bench = true,
-            "analyze" => analyze = true,
-            "--root" => analyze_root = Some(it.next().ok_or("--root needs a path")?),
-            "--config" => analyze_config = Some(it.next().ok_or("--config needs a path")?),
-            "--fixture" => analyze_fixture = Some(it.next().ok_or("--fixture needs a name")?),
-            "--incremental" => incremental = true,
-            "trace" => {
-                // optional scenario operand; flags keep their meaning
-                trace = Some(match it.next() {
-                    Some(s) if !s.starts_with("--") => s,
-                    Some(flag) => {
-                        // not a scenario: re-dispatch the flag below
-                        let chained = std::iter::once(flag).chain(it);
-                        it = chained.collect::<Vec<_>>().into_iter();
-                        "all".to_owned()
-                    }
-                    None => "all".to_owned(),
-                });
+type Section = fn() -> Result<(), Box<dyn std::error::Error>>;
+
+/// The report's sections, in the order a run prints them.
+const SECTIONS: [(&str, Section); 16] = [
+    ("figures", figures),
+    ("example", token_bus_example),
+    ("properties", algebraic_properties),
+    ("axioms", knowledge_axioms),
+    ("local", local_predicates),
+    ("theorem1", theorem1_sampling),
+    ("extension", extension_and_theorem3),
+    ("transfer", transfer_theorems),
+    ("generals", two_generals_report),
+    ("faults", faults_report),
+    ("tracking", tracking_report),
+    ("failure", failure_report),
+    ("termination", termination_report),
+    ("ablation", ablation_report),
+    ("extras", extras_report),
+    ("sweep", sweep_report),
+];
+
+const MODES: [&str; 3] = ["serve", "trace", "analyze"];
+const TRACE_SCENARIOS: [&str; 4] = ["stress", "query", "faults", "all"];
+
+/// Every flag with the mode that reads it; all but `--json` take a value.
+const FLAGS: [(&str, &str); 6] = [
+    ("--json", "analyze"),
+    ("--out", "analyze"),
+    ("--root", "analyze"),
+    ("--config", "analyze"),
+    ("--fixture", "analyze"),
+    ("--chrome", "trace"),
+];
+
+/// What one `repro` invocation runs.
+enum Command {
+    /// The paper report over the named sections (every section when empty).
+    Report(Vec<String>),
+    Serve,
+    Trace {
+        scenario: String,
+        chrome: String,
+    },
+    Analyze {
+        json: bool,
+        out: Option<String>,
+        root: Option<String>,
+        config: Option<String>,
+        fixture: Option<String>,
+    },
+}
+
+fn usage() -> String {
+    let sections: Vec<&str> = SECTIONS.iter().map(|(name, _)| *name).collect();
+    format!(
+        "usage: repro [section…]
+       repro serve
+       repro trace [{}] [--chrome PATH]
+       repro analyze [--json] [--out PATH] [--root DIR] [--config PATH] [--fixture NAME]
+sections: {}",
+        TRACE_SCENARIOS.join("|"),
+        sections.join(" ")
+    )
+}
+
+/// Reads the command line: at most one mode, the operands it takes, and
+/// only the flags that mode reads.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Command, String> {
+    let mut mode: Option<String> = None;
+    let mut operands: Vec<String> = Vec::new();
+    let mut flags: Vec<(&str, &str, String)> = Vec::new();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if let Some(&(flag, owner)) = FLAGS.iter().find(|(flag, _)| *flag == arg) {
+            let value = if flag == "--json" {
+                String::new()
+            } else {
+                args.next()
+                    .ok_or_else(|| format!("`{flag}` needs a value"))?
+            };
+            flags.push((flag, owner, value));
+        } else if arg.starts_with('-') {
+            return Err(format!("unknown flag `{arg}`"));
+        } else if MODES.contains(&arg.as_str()) {
+            if let Some(first) = &mode {
+                return Err(format!("`{first}` and `{arg}` are separate modes"));
             }
-            "--chrome" => chrome_out = Some(it.next().ok_or("--chrome needs a path")?),
-            "--out" => out_path = Some(it.next().ok_or("--out needs a path")?),
-            "--baseline" => baseline = Some(it.next().ok_or("--baseline needs a path")?),
-            "--tolerance" => {
-                tolerance = it
-                    .next()
-                    .ok_or("--tolerance needs a fraction")?
-                    .parse::<f64>()?;
-            }
-            "--merge-tolerance" => {
-                merge_tolerance = it
-                    .next()
-                    .ok_or("--merge-tolerance needs a fraction")?
-                    .parse::<f64>()?;
-            }
-            "--min-reduction" => {
-                min_reduction = it
-                    .next()
-                    .ok_or("--min-reduction needs a factor")?
-                    .parse::<f64>()?;
-            }
-            "--qps-tolerance" => {
-                qps_tolerance = it
-                    .next()
-                    .ok_or("--qps-tolerance needs a fraction")?
-                    .parse::<f64>()?;
-            }
-            "--stall-tolerance" => {
-                stall_tolerance = it
-                    .next()
-                    .ok_or("--stall-tolerance needs a fraction")?
-                    .parse::<f64>()?;
-            }
-            "--min-cache-hit-rate" => {
-                min_cache_hit_rate = it
-                    .next()
-                    .ok_or("--min-cache-hit-rate needs a fraction")?
-                    .parse::<f64>()?;
-            }
-            "--min-speedup" => {
-                min_speedup = it
-                    .next()
-                    .ok_or("--min-speedup needs a factor")?
-                    .parse::<f64>()?;
-            }
-            _ => args.push(a),
+            mode = Some(arg);
+        } else {
+            operands.push(arg);
         }
     }
-    if let Some(scenario) = trace {
-        return trace_mode(
-            &scenario,
-            &chrome_out.unwrap_or_else(|| "TRACE_repro.json".to_owned()),
-        );
+    if let Some((flag, owner, _)) = flags
+        .iter()
+        .find(|(_, owner, _)| mode.as_deref() != Some(*owner))
+    {
+        return Err(format!("`{flag}` is read only by `repro {owner}`"));
     }
-    if serve {
-        return serve_mode();
+    // a repeated flag keeps its last value
+    let flag = |name: &str| {
+        flags
+            .iter()
+            .rev()
+            .find(|(flag, ..)| *flag == name)
+            .map(|(.., value)| value.clone())
+    };
+    match (mode.as_deref(), operands.as_slice()) {
+        (None, wanted) => match wanted
+            .iter()
+            .find(|s| !SECTIONS.iter().any(|(name, _)| name == s))
+        {
+            Some(unknown) => Err(format!("unknown section `{unknown}`")),
+            None => Ok(Command::Report(wanted.to_vec())),
+        },
+        (Some("trace"), [] | [_]) => {
+            let scenario = operands.first().map_or("all", String::as_str);
+            if !TRACE_SCENARIOS.contains(&scenario) {
+                return Err(format!("unknown trace scenario `{scenario}`"));
+            }
+            Ok(Command::Trace {
+                scenario: scenario.to_owned(),
+                chrome: flag("--chrome").unwrap_or_else(|| "TRACE_repro.json".to_owned()),
+            })
+        }
+        (Some("serve"), []) => Ok(Command::Serve),
+        (Some("analyze"), []) => Ok(Command::Analyze {
+            json: flag("--json").is_some(),
+            out: flag("--out"),
+            root: flag("--root"),
+            config: flag("--config"),
+            fixture: flag("--fixture"),
+        }),
+        (Some(m), extra) => Err(format!("`repro {m}` does not take `{}`", extra.join(" "))),
     }
-    if analyze {
-        return analyze_mode(
-            analyze_root.as_deref(),
-            analyze_config.as_deref(),
-            analyze_fixture.as_deref(),
+}
+
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    match parse_args(std::env::args().skip(1)) {
+        Ok(Command::Report(wanted)) => report(&wanted),
+        Ok(Command::Serve) => serve_mode(),
+        Ok(Command::Trace { scenario, chrome }) => trace_mode(&scenario, &chrome),
+        Ok(Command::Analyze {
             json,
-            out_path.as_deref(),
-        );
+            out,
+            root,
+            config,
+            fixture,
+        }) => analyze_mode(
+            root.as_deref(),
+            config.as_deref(),
+            fixture.as_deref(),
+            json,
+            out.as_deref(),
+        ),
+        Err(e) => {
+            eprintln!("repro: {e}\n{}", usage());
+            std::process::exit(2);
+        }
     }
-    if incremental {
-        return incremental_sweep_report(
-            &out_path.unwrap_or_else(|| "BENCH_pr9_incremental.json".to_owned()),
-            min_speedup,
-        );
-    }
-    if query_bench {
-        return query_bench_report(
-            &out_path.unwrap_or_else(|| "BENCH_pr9_query.json".to_owned()),
-            baseline.as_deref(),
-            qps_tolerance,
-            min_cache_hit_rate,
-        );
-    }
-    if json {
-        return perf_report(
-            &out_path.unwrap_or_else(|| "BENCH_pr9.json".to_owned()),
-            baseline.as_deref(),
-            GateConfig {
-                tolerance,
-                merge_tolerance,
-                min_reduction,
-                qps_tolerance,
-                stall_tolerance,
-                min_cache_hit_rate,
-            },
-        );
-    }
-    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
+}
 
+/// The paper report: every wanted section in [`SECTIONS`] order.
+fn report(wanted: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     println!("=== How Processes Learn (PODC 1985) — reproduction report ===");
-
-    if want("figures") {
-        figure_3_1()?;
-        figure_3_2()?;
-        figure_3_3()?;
+    for (name, run) in SECTIONS {
+        if wanted.is_empty() || wanted.iter().any(|w| w == name) {
+            run()?;
+        }
     }
-    if want("example") {
-        token_bus_example()?;
-    }
-    if want("properties") {
-        algebraic_properties();
-    }
-    if want("axioms") {
-        knowledge_axioms();
-    }
-    if want("local") {
-        local_predicates();
-    }
-    if want("theorem1") {
-        theorem1_sampling()?;
-    }
-    if want("extension") {
-        extension_and_theorem3();
-    }
-    if want("transfer") {
-        transfer_theorems();
-    }
-    if want("generals") {
-        two_generals_report()?;
-    }
-    if want("faults") {
-        faults_report()?;
-    }
-    if want("tracking") {
-        tracking_report()?;
-    }
-    if want("failure") {
-        failure_report()?;
-    }
-    if want("termination") {
-        termination_report();
-    }
-    if want("ablation") {
-        ablation_report()?;
-    }
-    if want("extras") {
-        extras_report();
-    }
-    if want("sweep") {
-        sweep_report()?;
-    }
-
     println!("\n=== report complete ===");
     Ok(())
 }
@@ -310,22 +220,8 @@ fn section(title: &str) {
     println!("\n--- {title} ---");
 }
 
-/// Wall-clocks `f`, best of `rounds` runs (milliseconds), returning the
-/// last result so the work cannot be optimized away.
-fn time_ms<T>(rounds: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..rounds.max(1) {
-        let t = std::time::Instant::now();
-        let v = std::hint::black_box(f());
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-        last = Some(v);
-    }
-    (best, last.expect("rounds >= 1"))
-}
-
-/// The symmetry-soundness corpus shared by the admission and rejection
-/// passes: formulas spanning all three checker verdicts over the
+/// The symmetry-soundness corpus of the sweep's admission and rejection
+/// counts: formulas spanning all three checker verdicts over the
 /// universe's own system size.
 fn soundness_corpus(n: usize, interp: &mut Interpretation) -> Vec<Formula> {
     let nonempty = Formula::atom(interp.register_invariant("nonempty", |c| !c.is_empty()));
@@ -352,11 +248,10 @@ fn soundness_corpus(n: usize, interp: &mut Interpretation) -> Vec<Formula> {
     ]
 }
 
-/// The symmetry-soundness admission pass run inside each quotient
-/// scenario's timed region: the corpus evaluated under
-/// `QuotientPolicy::Expand` (the default), so the measured quotient
-/// wall time includes the checker and its orbit-expansion fallback.
-/// Returns `(admitted, expanded)` counts.
+/// The symmetry-soundness admission pass: classifies each corpus formula
+/// and answers it under `QuotientPolicy::Expand` (the default), so every
+/// formula the checker sends to the orbit-expansion fallback is really
+/// evaluated there. Returns `(admitted, expanded)` counts.
 fn quotient_admission_pass(
     pu: &hpl_core::ProtocolUniverse,
     orbits: &hpl_core::Orbits,
@@ -371,16 +266,15 @@ fn quotient_admission_pass(
             Invariance::OutOfContract(_) => expanded += 1,
             _ => admitted += 1,
         }
-        std::hint::black_box(eval.sat_set(f).count());
+        eval.sat_set(f);
     }
     (admitted, expanded)
 }
 
-/// The rejection count *measured* against a `QuotientPolicy::Reject`
-/// evaluator (typed `QuotientUnsound` errors from `try_sat_set`), kept
-/// outside the timed region: the sound formulas' full re-evaluation
-/// would otherwise inflate the gated wall times for a number the
-/// adversarial suite already proves equals the expanded count.
+/// The rejection count measured against a `QuotientPolicy::Reject`
+/// evaluator (typed `QuotientUnsound` errors from `try_sat_set`); the
+/// adversarial suite in `tests/symmetry_quotient.rs` proves it equals the
+/// expanded count.
 fn quotient_rejection_count(pu: &hpl_core::ProtocolUniverse, orbits: &hpl_core::Orbits) -> usize {
     use hpl_core::QuotientPolicy;
     let mut interp = Interpretation::new();
@@ -393,9 +287,9 @@ fn quotient_rejection_count(pu: &hpl_core::ProtocolUniverse, orbits: &hpl_core::
         .count()
 }
 
-/// One registered snapshot of the query bench / REPL: an enumerated
-/// universe, its interpretation, optional quotient structure, and the
-/// formula batch (as parser text — the service's front door).
+/// One registered snapshot of `repro serve` and `repro trace query`: an
+/// enumerated universe, its interpretation, optional quotient structure,
+/// and the formula batch (as parser text — the service's front door).
 struct QueryWorkload {
     name: &'static str,
     universe: std::sync::Arc<Universe>,
@@ -408,9 +302,8 @@ struct QueryWorkload {
 /// symmetry quotient (planner selects quotient-vs-expand per subtree),
 /// push gossip and Two Generals on plain snapshots. Batches mix plain
 /// atoms, sound quotient knowledge, out-of-contract knowledge (Expand
-/// fallback), folding fodder and repeated subtrees, so throughput is
-/// measured with the planner, the soundness checker and both caches in
-/// the loop.
+/// fallback), folding fodder and repeated subtrees, so a traced batch
+/// passes through the planner, the soundness checker and both caches.
 fn query_workloads() -> Result<Vec<QueryWorkload>, Box<dyn std::error::Error>> {
     use hpl_core::enumerate_sharded;
     use hpl_protocols::gossip::{self, PushGossip};
@@ -516,243 +409,6 @@ fn start_query_service(workloads: &[QueryWorkload], workers: usize) -> hpl_runti
     service
 }
 
-/// Runs the query-throughput scenarios into `report`: each workload ×
-/// {1, 4, 16} concurrent clients, every client walking the formula
-/// batch repeatedly through its own session. Each response is compared
-/// byte-for-byte against a sequential `Evaluator` reference — the
-/// record's `determinism_ok` witness — and latency quantiles come from
-/// the client-observed per-query times.
-///
-/// Like the wall scenarios (`time_ms`), each record is the **best of
-/// several passes**, each pass on a fresh cold service: the elapsed
-/// time is dominated by the corpus's first (cold-cache) evaluations,
-/// whose single-core wall time is noisy, and best-of-N lands both the
-/// baseline and the gated run near the reproducible upper envelope.
-/// The determinism witness is the opposite — it must hold on *every*
-/// pass, not just the fastest.
-fn run_query_scenarios(report: &mut PerfReport) -> Result<(), Box<dyn std::error::Error>> {
-    use hpl_core::{parse, QuotientPolicy};
-    use std::sync::Mutex;
-
-    let workloads = query_workloads()?;
-    let client_counts = [1usize, 4, 16];
-    let rounds = 6usize; // batch walks per client: repeats exercise the sat cache
-    let passes = 3usize; // best-of passes per record (cold service each)
-
-    for w in &workloads {
-        // the sequential reference, computed once per workload
-        let reference: Vec<hpl_core::CompSet> = {
-            let mut eval = match &w.orbits {
-                Some(o) => Evaluator::with_symmetry_policy(
-                    &w.universe,
-                    &w.interp,
-                    o,
-                    QuotientPolicy::Expand,
-                ),
-                None => Evaluator::new(&w.universe, &w.interp),
-            };
-            w.queries
-                .iter()
-                .map(|q| {
-                    let f = parse(q, &w.interp)?;
-                    Ok(eval.try_sat_set(&f)?)
-                })
-                .collect::<Result<_, Box<dyn std::error::Error>>>()?
-        };
-
-        for &clients in &client_counts {
-            let mut best: Option<QueryScenario> = None;
-            let mut all_passes_ok = true;
-            for _ in 0..passes {
-                let service = start_query_service(std::slice::from_ref(w), clients);
-                let latencies = Mutex::new(Vec::<f64>::new());
-                let determinism_ok = Mutex::new(true);
-                let t0 = std::time::Instant::now();
-                std::thread::scope(|s| {
-                    for t in 0..clients {
-                        let service = &service;
-                        let latencies = &latencies;
-                        let determinism_ok = &determinism_ok;
-                        let reference = &reference;
-                        let queries = &w.queries;
-                        let name = w.name;
-                        s.spawn(move || {
-                            let session = service.session(name).expect("registered workload");
-                            let mut local = Vec::with_capacity(rounds * queries.len());
-                            let mut ok = true;
-                            let n = queries.len();
-                            for r in 0..rounds {
-                                for k in 0..n {
-                                    let i = (k + t + r) % n; // rotated: overlapping batches
-                                    let resp =
-                                        session.query(queries[i]).expect("batch queries evaluate");
-                                    local.push(resp.elapsed.as_secs_f64() * 1e3);
-                                    ok &= *resp.sat == reference[i];
-                                }
-                            }
-                            latencies.lock().expect("poisoned").extend(local);
-                            *determinism_ok.lock().expect("poisoned") &= ok;
-                        });
-                    }
-                });
-                let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
-                let mut lats = latencies.into_inner().expect("poisoned");
-                lats.sort_by(f64::total_cmp);
-                let queries_served = lats.len();
-                let quantile = |q: f64| lats[((queries_served - 1) as f64 * q) as usize];
-                let snap = service.snapshot(w.name).expect("registered workload");
-                let stats = snap.sat_cache_stats();
-                all_passes_ok &= determinism_ok.into_inner().expect("poisoned");
-                let pass = QueryScenario {
-                    name: format!("query_{}_c{clients}", w.name),
-                    clients,
-                    queries: queries_served,
-                    elapsed_ms,
-                    qps: queries_served as f64 / (elapsed_ms / 1e3),
-                    p50_ms: quantile(0.5),
-                    p99_ms: quantile(0.99),
-                    coalesced: snap.coalesced(),
-                    cache_hits: stats.hits,
-                    // every workload walks its batch `rounds` times, so
-                    // the repeats must hit the satisfaction cache; NaN
-                    // ("not measured") only if no lookup ever happened
-                    cache_hit_rate: if stats.hits + stats.misses == 0 {
-                        f64::NAN
-                    } else {
-                        stats.hit_rate()
-                    },
-                    determinism_ok: true, // folded in below, across every pass
-                };
-                if best.as_ref().is_none_or(|b| pass.qps > b.qps) {
-                    best = Some(pass);
-                }
-            }
-            let mut record = best.expect("passes >= 1");
-            record.determinism_ok = all_passes_ok;
-            report.push_query(record);
-        }
-    }
-    Ok(())
-}
-
-/// Prints the query records and applies the query gates: the
-/// unconditional determinism witness (violations exit 5), the
-/// baseline-free satisfaction-cache hit-rate floor (violations exit 6),
-/// and — when a readable baseline is given — the qps floor. A missing
-/// baseline file or entry skips with a warning instead of failing, so
-/// the gates bootstrap cleanly before the baseline is first committed.
-fn gate_query_scenarios(
-    report: &PerfReport,
-    baseline: Option<&str>,
-    qps_tolerance: f64,
-    min_cache_hit_rate: f64,
-) -> Option<i32> {
-    let mut worst = None;
-    for s in &report.query_scenarios {
-        println!(
-            "{:>42}  {:>8.0} qps  p50 {:>7.3} ms  p99 {:>7.3} ms  ({} clients, {} queries, \
-             {} coalesced, {} cache hits, {:.2} hit rate)",
-            s.name,
-            s.qps,
-            s.p50_ms,
-            s.p99_ms,
-            s.clients,
-            s.queries,
-            s.coalesced,
-            s.cache_hits,
-            s.cache_hit_rate
-        );
-    }
-    let hit = report.cache_hit_rate_violations(min_cache_hit_rate);
-    for w in &hit.warnings {
-        println!("gate warning: {w}");
-    }
-    if hit.regressions.is_empty() {
-        println!(
-            "cache gate: every measured hit rate ≥ {:.2} ({} records)",
-            min_cache_hit_rate,
-            report.query_scenarios.len()
-        );
-    } else {
-        eprintln!("SAT-CACHE HIT-RATE VIOLATIONS:");
-        for r in &hit.regressions {
-            eprintln!("  {r}");
-        }
-        worst = Some(EXIT_TELEMETRY);
-    }
-    let witness = report.query_determinism_violations();
-    if witness.is_empty() {
-        println!(
-            "determinism gate: concurrent results byte-identical to sequential ({} records)",
-            report.query_scenarios.len()
-        );
-    } else {
-        eprintln!("QUERY DETERMINISM VIOLATIONS:");
-        for v in &witness {
-            eprintln!("  {v}");
-        }
-        worst = Some(EXIT_QUERY);
-    }
-    if let Some(path) = baseline {
-        match std::fs::read_to_string(path) {
-            Ok(raw) => {
-                let base = PerfReport::parse_metric(&raw, "qps");
-                let gate = report.query_qps_gate(&base, qps_tolerance);
-                for w in &gate.warnings {
-                    println!("gate warning: {w}");
-                }
-                if gate.regressions.is_empty() {
-                    println!(
-                        "query gate: no qps floor breach beyond −{:.0}%",
-                        qps_tolerance * 100.0
-                    );
-                } else {
-                    eprintln!("QUERY THROUGHPUT REGRESSIONS vs {path}:");
-                    for r in &gate.regressions {
-                        eprintln!("  {r}");
-                    }
-                    worst = Some(worst.map_or(EXIT_QUERY, |w: i32| w.min(EXIT_QUERY)));
-                }
-            }
-            Err(e) => {
-                // skip-with-warning: a missing baseline must not fail
-                // the bootstrap run that generates it
-                println!("gate warning: baseline {path} unreadable ({e}) — qps gate skipped");
-            }
-        }
-    }
-    worst
-}
-
-/// `repro query-bench`: the query scenarios alone, written as a
-/// schema-v7 report and gated on throughput, determinism and the
-/// satisfaction-cache hit-rate floor.
-fn query_bench_report(
-    out_path: &str,
-    baseline: Option<&str>,
-    qps_tolerance: f64,
-    min_cache_hit_rate: f64,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let mut report = PerfReport::default();
-    report.host_fact(
-        "nproc",
-        std::thread::available_parallelism().map_or(1.0, |n| n.get() as f64),
-    );
-    run_query_scenarios(&mut report)?;
-    if let Some(kb) = hpl_bench::peak_rss_kb() {
-        report.host_fact("peak_rss_kb", kb);
-    }
-    std::fs::write(out_path, report.to_json())?;
-    println!(
-        "=== query-bench report ({} records) → {out_path} ===",
-        report.query_scenarios.len()
-    );
-    if let Some(code) = gate_query_scenarios(&report, baseline, qps_tolerance, min_cache_hit_rate) {
-        std::process::exit(code);
-    }
-    Ok(())
-}
-
 /// `repro serve`: the three workload snapshots behind a line-oriented
 /// REPL. One query per line, `<scenario> <formula>`; `:scenarios`
 /// lists the registered names, `:stats [scenario]` prints the
@@ -842,7 +498,7 @@ fn serve_mode() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// `repro trace [stress|query|faults|all] --chrome PATH`: runs the
+/// `repro trace [stress|query|faults|all] [--chrome PATH]`: runs the
 /// named scenario once with the recorder **and** span tracing enabled,
 /// then writes the collected spans as Chrome trace-event JSON — load
 /// the file in Perfetto or `chrome://tracing` to see the per-shard
@@ -851,12 +507,6 @@ fn serve_mode() -> Result<(), Box<dyn std::error::Error>> {
 fn trace_mode(scenario: &str, chrome_path: &str) -> Result<(), Box<dyn std::error::Error>> {
     use hpl_core::enumerate_sharded;
 
-    let known = ["stress", "query", "faults", "all"];
-    if !known.contains(&scenario) {
-        return Err(
-            format!("unknown trace scenario `{scenario}` (expected one of {known:?})").into(),
-        );
-    }
     let want = |name: &str| scenario == name || scenario == "all";
 
     hpl_telemetry::reset();
@@ -920,15 +570,7 @@ fn trace_mode(scenario: &str, chrome_path: &str) -> Result<(), Box<dyn std::erro
     Ok(())
 }
 
-/// Distinct exit codes per failed gate class, so CI logs identify the
-/// broken subsystem without scraping diagnostics (the lowest-numbered
-/// failing class wins).
-const EXIT_WALL: i32 = 2;
-const EXIT_REDUCTION: i32 = 3;
-const EXIT_WITNESS: i32 = 4;
-const EXIT_QUERY: i32 = 5;
-const EXIT_TELEMETRY: i32 = 6;
-const EXIT_INCREMENTAL: i32 = 7;
+/// The exit code of a static-analysis run that found something.
 const EXIT_ANALYZE: i32 = 8;
 
 /// `repro analyze [--json] [--out path] [--root dir] [--config path]
@@ -992,550 +634,11 @@ fn analyze_mode(
     Ok(())
 }
 
-/// The gate thresholds behind `repro --json`, bundled so the perf
-/// runner's signature survives new gates.
-struct GateConfig {
-    tolerance: f64,
-    merge_tolerance: f64,
-    min_reduction: f64,
-    qps_tolerance: f64,
-    stall_tolerance: f64,
-    min_cache_hit_rate: f64,
-}
-
-/// Runs `f` once with the telemetry recorder **enabled** (spans and
-/// counters live, tracing off) on an otherwise clean recorder, and
-/// returns the telemetry-on wall time plus the snapshot. The recorder
-/// is disabled and wiped again afterwards so the timed regions around
-/// the call stay uninstrumented.
-fn instrumented_pass<T>(f: impl FnOnce() -> T) -> (f64, hpl_telemetry::TelemetrySnapshot) {
-    hpl_telemetry::reset();
-    hpl_telemetry::set_enabled(true);
-    let t0 = std::time::Instant::now();
-    std::hint::black_box(f());
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    hpl_telemetry::set_enabled(false);
-    let snap = hpl_telemetry::snapshot();
-    hpl_telemetry::reset();
-    (wall_ms, snap)
-}
-
-/// The v7 `telemetry` block of a sharded enumeration scenario, derived
-/// from one instrumented pass: the stage wall breakdown (summed span
-/// durations across workers — on a multi-core host these overlap, so
-/// they can exceed the wall), the merge credit-stall time, and
-/// `stall_share`, the stalled fraction of total explore time that the
-/// `--stall-tolerance` gate caps.
-fn sharded_telemetry(
-    wall_ms: f64,
-    snap: &hpl_telemetry::TelemetrySnapshot,
-) -> Vec<(&'static str, f64)> {
-    let ms = |name: &str| snap.histogram(name).map_or(0.0, |h| h.sum as f64 / 1e6);
-    let explore_ms = ms("enum.explore");
-    let stall_ms = snap.counter("enum.credit_stall_ns") as f64 / 1e6;
-    let mut out = vec![
-        ("telemetry_wall_ms", wall_ms),
-        ("explore_ms", explore_ms),
-        ("merge_ms", ms("enum.merge")),
-        ("renumber_ms", ms("enum.renumber")),
-        ("stall_ms", stall_ms),
-        ("batches", snap.counter("enum.batches") as f64),
-    ];
-    if explore_ms > 0.0 {
-        out.push(("stall_share", stall_ms / explore_ms));
-    }
-    out
-}
-
-/// Attaches a telemetry block to a scenario record.
-fn with_telemetry(mut s: Scenario, telemetry: Vec<(&'static str, f64)>) -> Scenario {
-    for (k, v) in telemetry {
-        s = s.telemetry(k, v);
-    }
-    s
-}
-
-/// The perf scenarios behind `--json`: enumeration (sequential vs
-/// sharded streaming), dedupe, symmetry quotient (with the
-/// soundness-checker admission pass in the timed region), and sat-set
-/// throughput. Writes the report, prints a summary table, and — given a
-/// baseline — fails on wall-time regressions beyond `tolerance`, on
-/// active-merge-time (`merge_wall_ms`) regressions beyond
-/// `merge_tolerance`, or on quotient scenarios whose reduction factor
-/// falls below `min_reduction`.
-fn perf_report(
-    out_path: &str,
-    baseline: Option<&str>,
-    gates: GateConfig,
-) -> Result<(), Box<dyn std::error::Error>> {
-    use hpl_core::enumerate_sharded;
-    let GateConfig {
-        tolerance,
-        merge_tolerance,
-        min_reduction,
-        qps_tolerance,
-        stall_tolerance,
-        min_cache_hit_rate,
-    } = gates;
-
-    let mut report = PerfReport::default();
-    report.host_fact(
-        "nproc",
-        std::thread::available_parallelism().map_or(1.0, |n| n.get() as f64),
-    );
-    let rounds = 5;
-    let shards = 8;
-    let cfg = ShardConfig::with_shards(shards);
-
-    // -- the enumeration bench: sequential reference engine vs the
-    // sharded engine at 8 shards, on an interleaving-heavy workload
-    // large enough (~110k computations) that per-node costs dominate ---
-    let stress = InterleavingStress { n: 3, k: 4 };
-    let slimits = EnumerationLimits {
-        max_events: 12,
-        max_computations: 2_000_000,
-    };
-    let (seq_ms, seq) = time_ms(rounds, || {
-        enumerate(&stress, slimits).expect("within budget")
-    });
-    let (par_ms, par) = time_ms(rounds, || {
-        enumerate_sharded(&stress, slimits, &cfg).expect("within budget")
-    });
-    assert_eq!(
-        par.universe.universe().len(),
-        seq.universe().len(),
-        "sharded engine must reproduce the sequential universe"
-    );
-    // the instrumented pass: one extra telemetry-enabled run, outside
-    // the timed region, feeding the v7 telemetry block (the timed runs
-    // above stay uninstrumented — their gate is the overhead assertion)
-    let (par_tele_ms, par_snap) =
-        instrumented_pass(|| enumerate_sharded(&stress, slimits, &cfg).expect("within budget"));
-    report.push(with_telemetry(
-        Scenario::new("enumerate_stress_n3_k4_d12_sharded8", par_ms)
-            .metric("wall_ms_sequential", seq_ms)
-            .metric("speedup_vs_sequential", seq_ms / par_ms)
-            .metric("universe_size", seq.universe().len() as f64)
-            .metric("tasks", par.stats.tasks as f64)
-            .metric("shards", shards as f64)
-            .metric("merge_wall_ms", par.stats.merge_wall_ms)
-            .metric("batches", par.stats.batches as f64)
-            .metric("peak_buffered_bytes", par.stats.peak_buffered_bytes as f64)
-            .metric("largest_batch_bytes", par.stats.largest_batch_bytes as f64),
-        sharded_telemetry(par_tele_ms, &par_snap),
-    ));
-    report.push(
-        Scenario::new("enumerate_stress_n3_k4_d12_sequential", seq_ms)
-            .metric("universe_size", seq.universe().len() as f64),
-    );
-
-    // -- the paper workload (token bus): tiny tree, batched ×100 so the
-    // measurement is stable enough for the regression gate -------------
-    let bus = hpl_protocols::token_bus::TokenBus::new(3);
-    let blimits = EnumerationLimits::depth(14);
-    let batch = 100usize;
-    let (bus_ms, bus_size) = time_ms(rounds, || {
-        let mut size = 0;
-        for _ in 0..batch {
-            size = enumerate(&bus, blimits)
-                .expect("within budget")
-                .universe()
-                .len();
-        }
-        size
-    });
-    report.push(
-        Scenario::new("enumerate_token_bus_d14_x100", bus_ms)
-            .metric("universe_size", bus_size as f64)
-            .metric("batch", batch as f64),
-    );
-
-    // -- dedupe: canonical-form collapse of symmetric interleavings ----
-    let dcfg = ShardConfig::with_shards(shards).dedupe();
-    let (ded_ms, ded) = time_ms(rounds, || {
-        enumerate_sharded(&stress, slimits, &dcfg).expect("within budget")
-    });
-    let (ded_tele_ms, ded_snap) =
-        instrumented_pass(|| enumerate_sharded(&stress, slimits, &dcfg).expect("within budget"));
-    report.push(with_telemetry(
-        Scenario::new("dedupe_stress_n3_k4_d12_sharded8", ded_ms)
-            .metric("explored", ded.stats.explored as f64)
-            .metric("universe_size", ded.stats.unique as f64)
-            .metric("dedupe_ratio", ded.stats.dedupe_ratio())
-            .metric("merge_wall_ms", ded.stats.merge_wall_ms)
-            .metric("peak_buffered_bytes", ded.stats.peak_buffered_bytes as f64),
-        sharded_telemetry(ded_tele_ms, &ded_snap),
-    ));
-
-    // -- symmetry quotient on the token family: the chatter-rich line
-    // bus (trivial group: pure interleaving collapse) and the broadcast
-    // star (S_{n−1} fixing the initial holder: relabelings collapse on
-    // top of interleavings). Gated on reduction_factor ≥ min_reduction.
-    let qcfg = ShardConfig::with_shards(shards).quotient();
-    let bus_rich = hpl_protocols::token_bus::TokenBus::with_chatter(3, 2);
-    let qlimits = EnumerationLimits {
-        max_events: 10,
-        max_computations: 2_000_000,
-    };
-    let (qbus_ms, (qbus, qbus_counts)) = time_ms(rounds, || {
-        let out = enumerate_sharded(&bus_rich, qlimits, &qcfg).expect("within budget");
-        let counts = quotient_admission_pass(
-            &out.universe,
-            out.orbits.as_ref().expect("quotient attaches orbits"),
-        );
-        (out, counts)
-    });
-    let qbus_orbits = qbus.orbits.as_ref().expect("quotient attaches orbits");
-    let qbus_rejected = quotient_rejection_count(&qbus.universe, qbus_orbits);
-    report.push(
-        Scenario::new("quotient_token_bus_n3_c2_d10_sharded8", qbus_ms)
-            .metric("explored", qbus.stats.explored as f64)
-            .metric("orbit_count", qbus_orbits.orbit_count() as f64)
-            .metric("reduction_factor", qbus_orbits.reduction_factor())
-            .metric("group_order", qbus.stats.group_order as f64)
-            .metric("merge_wall_ms", qbus.stats.merge_wall_ms)
-            .metric("peak_buffered_bytes", qbus.stats.peak_buffered_bytes as f64)
-            .metric("formulas_admitted", qbus_counts.0 as f64)
-            .metric("formulas_expanded", qbus_counts.1 as f64)
-            .metric("formulas_rejected", qbus_rejected as f64),
-    );
-    let star = hpl_protocols::token_bus::BroadcastBus::with_chatter(4, 1);
-    let star_limits = EnumerationLimits {
-        max_events: 8,
-        max_computations: 2_000_000,
-    };
-    let (qstar_ms, (qstar, qstar_counts)) = time_ms(rounds, || {
-        let out = enumerate_sharded(&star, star_limits, &qcfg).expect("within budget");
-        let counts = quotient_admission_pass(
-            &out.universe,
-            out.orbits.as_ref().expect("quotient attaches orbits"),
-        );
-        (out, counts)
-    });
-    let qstar_orbits = qstar.orbits.as_ref().expect("quotient attaches orbits");
-    let qstar_rejected = quotient_rejection_count(&qstar.universe, qstar_orbits);
-    report.push(
-        Scenario::new("quotient_broadcast_star_n4_c1_d8_sharded8", qstar_ms)
-            .metric("explored", qstar.stats.explored as f64)
-            .metric("orbit_count", qstar_orbits.orbit_count() as f64)
-            .metric("reduction_factor", qstar_orbits.reduction_factor())
-            .metric("group_order", qstar.stats.group_order as f64)
-            .metric("merge_wall_ms", qstar.stats.merge_wall_ms)
-            .metric(
-                "peak_buffered_bytes",
-                qstar.stats.peak_buffered_bytes as f64,
-            )
-            .metric("formulas_admitted", qstar_counts.0 as f64)
-            .metric("formulas_expanded", qstar_counts.1 as f64)
-            .metric("formulas_rejected", qstar_rejected as f64),
-    );
-    assert!(
-        qstar_counts.1 > 0,
-        "the star corpus must exercise the Expand fallback"
-    );
-
-    // -- sat-set throughput: knowledge queries over a 3.4k-computation
-    // universe, with a fresh evaluator per round so both the `[P]`
-    // partitions and the batched set algebra are measured -------------
-    let pu = enumerate_sharded(
-        &InterleavingStress { n: 2, k: 6 },
-        EnumerationLimits {
-            max_events: 12,
-            max_computations: 2_000_000,
-        },
-        &cfg,
-    )
-    .expect("within budget")
-    .universe;
-    let mut interp = Interpretation::new();
-    let busy = Formula::atom(interp.register("busy", |c| c.len() >= 6));
-    let p0_done = Formula::atom(interp.register("p0-done", |c| {
-        c.iter().filter(|e| e.is_on(ProcessId::new(0))).count() == 6
-    }));
-    let formulas: Vec<Formula> = {
-        let mut fs = vec![busy.clone(), p0_done.clone()];
-        for pi in 0..2 {
-            let p = ProcessSet::from_indices([pi]);
-            fs.push(Formula::knows(p, busy.clone()));
-            fs.push(Formula::knows(
-                p,
-                Formula::knows(ProcessSet::from_indices([(pi + 1) % 2]), p0_done.clone()),
-            ));
-            fs.push(Formula::sure(p, p0_done.clone()));
-        }
-        fs.push(Formula::everyone(busy.clone()));
-        fs.push(Formula::common(busy.clone()));
-        fs.push(busy.clone().iff(p0_done.clone()));
-        fs
-    };
-    let eval_rounds = 3usize;
-    let (sat_ms, _) = time_ms(rounds, || {
-        let mut total = 0usize;
-        for _ in 0..eval_rounds {
-            let mut eval = Evaluator::new(pu.universe(), &interp);
-            for f in &formulas {
-                total += eval.sat_set(f).count();
-            }
-        }
-        total
-    });
-    let evaluated = (formulas.len() * eval_rounds) as f64;
-    report.push(
-        Scenario::new("sat_set_stress_n2_k6_d12", sat_ms)
-            .metric("universe_size", pu.universe().len() as f64)
-            .metric("formulas", formulas.len() as f64)
-            .metric("sat_sets_per_s", evaluated / (sat_ms / 1e3)),
-    );
-
-    // -- the same workload with the shared `[P]`-partition cache: fresh
-    // evaluators per round stop paying the partition rebuild (the
-    // ROADMAP's IsoIndex-sharing item) ---------------------------------
-    let (shared_ms, _) = time_ms(rounds, || {
-        let cache = hpl_core::ClassCache::shared();
-        let mut total = 0usize;
-        for _ in 0..eval_rounds {
-            let mut eval = Evaluator::with_class_cache(pu.universe(), &interp, cache.clone());
-            for f in &formulas {
-                total += eval.sat_set(f).count();
-            }
-        }
-        total
-    });
-    report.push(
-        Scenario::new("sat_set_stress_n2_k6_d12_shared_cache", shared_ms)
-            .metric("universe_size", pu.universe().len() as f64)
-            .metric("formulas", formulas.len() as f64)
-            .metric("sat_sets_per_s", evaluated / (shared_ms / 1e3))
-            .metric("speedup_vs_fresh", sat_ms / shared_ms),
-    );
-
-    // -- the fault-model sweep (schema v5): Two Generals under message
-    // loss and a partition/heal schedule. Each record is the empirical
-    // witness of the paper's corollary — `ck_attained` must stay false
-    // while plain knowledge climbs — checked by the unconditional
-    // witness gate below; the build scenario puts the pipeline's wall
-    // time under the regular regression gate ----------------------------
-    let fault_base = hpl_core::FaultModel::new(NetworkConfig::uniform(ChannelConfig {
-        delay: DelayModel::Uniform { lo: 1, hi: 10 },
-        drop_probability: 0.0,
-        fifo: false,
-    }))
-    .runs(48)
-    .seeded(17);
-    // batched ×32 so the sub-millisecond build clears the gate's noise
-    let fault_batch = 32usize;
-    let (fault_ms, w0) = time_ms(rounds, || {
-        let mut last = None;
-        for _ in 0..fault_batch {
-            last = Some(two_generals::fault_witness(3, &fault_base, shards).expect("valid model"));
-        }
-        last.expect("batch >= 1")
-    });
-    report.push(
-        Scenario::new("fault_universe_two_generals_build_x32", fault_ms)
-            .metric("universe_size", w0.universe_size as f64)
-            .metric("runs", w0.runs as f64)
-            .metric("distinct_traces", w0.distinct_traces as f64)
-            .metric("shards", shards as f64),
-    );
-    let push_witness =
-        |report: &mut PerfReport, name: &str, w: &hpl_protocols::two_generals::FaultWitness| {
-            report.push_fault(FaultScenario {
-                name: name.to_owned(),
-                drop_probability: w.drop_probability,
-                runs: w.runs,
-                universe_size: w.universe_size,
-                distinct_traces: w.distinct_traces,
-                ck_attained: w.ck_attained,
-                knows_attained: w.knows_attained,
-                max_knowledge_level: w.max_knowledge_level,
-                delivered: w.delivered,
-                dropped: w.dropped,
-            });
-        };
-    let drop_axis = fault_base.crash_drop_grid(&[0.0, 0.1, 0.25, 0.5], &[]);
-    for (name, model) in [
-        "two_generals_drop_0",
-        "two_generals_drop_10",
-        "two_generals_drop_25",
-        "two_generals_drop_50",
-    ]
-    .into_iter()
-    .zip(&drop_axis)
-    {
-        let w = two_generals::fault_witness(3, model, shards).expect("valid fault model");
-        push_witness(&mut report, name, &w);
-    }
-    // the partition axis: cut the generals apart mid-exchange, heal late
-    let partition_model = hpl_core::FaultModel::new(
-        NetworkConfig::uniform(ChannelConfig {
-            delay: DelayModel::Uniform { lo: 1, hi: 10 },
-            drop_probability: 0.0,
-            fifo: false,
-        })
-        .with_partition(PartitionSchedule::split(
-            [0],
-            [1],
-            SimTime::from_ticks(6),
-            Some(SimTime::from_ticks(60)),
-        )),
-    )
-    .runs(48)
-    .seeded(17);
-    let wp = two_generals::fault_witness(3, &partition_model, shards).expect("valid fault model");
-    push_witness(&mut report, "two_generals_partition_heal", &wp);
-
-    // -- the query-service scenarios (schema v6): throughput and
-    // latency quantiles through the persistent QueryService at 1/4/16
-    // concurrent clients, with the per-run determinism witness ---------
-    run_query_scenarios(&mut report)?;
-
-    // -- emit + gate ----------------------------------------------------
-    // process-wide peak RSS (VmHWM) after all scenarios — dominated by
-    // the full universes the scenarios build, not by merge buffering
-    // (that bound is the per-scenario peak_buffered_bytes metric); a
-    // trend metric for catching gross memory regressions across runs
-    if let Some(kb) = hpl_bench::peak_rss_kb() {
-        report.host_fact("peak_rss_kb", kb);
-    }
-    let json = report.to_json();
-    std::fs::write(out_path, &json)?;
-    println!(
-        "=== perf report ({} scenarios) → {out_path} ===",
-        report.scenarios.len()
-    );
-    for s in &report.scenarios {
-        println!("{:>42}  {:>10.3} ms", s.name, s.wall_ms);
-    }
-    for s in &report.fault_scenarios {
-        println!(
-            "{:>42}  drop {:.2}  CK {}  knows {}  level {}  ({} traces / {} states)",
-            s.name,
-            s.drop_probability,
-            s.ck_attained,
-            s.knows_attained,
-            s.max_knowledge_level,
-            s.distinct_traces,
-            s.universe_size,
-        );
-    }
-    let speedup = report.scenarios[0]
-        .get_metric("speedup_vs_sequential")
-        .unwrap_or(0.0);
-    println!("sharded-vs-sequential speedup: {speedup:.2}×");
-    println!(
-        "soundness admission (bus | star): {}|{} admitted, {}|{} expanded under \
-         QuotientPolicy::Expand (Reject would refuse the expanded set)",
-        qbus_counts.0, qstar_counts.0, qbus_counts.1, qstar_counts.1
-    );
-
-    // every gate reports before any fails, so one violation cannot mask
-    // another's diagnostics; the exit code identifies the
-    // lowest-numbered failing class
-    let mut worst: Option<i32> = None;
-    let fail = |worst: &mut Option<i32>, class: i32| {
-        *worst = Some(worst.map_or(class, |w| w.min(class)));
-    };
-
-    // the symmetry gate runs unconditionally (no baseline needed): a
-    // quotient scenario recording a reduction factor below the floor
-    // means the subsystem stopped pulling its weight
-    let floors = report.below_reduction_floor(min_reduction);
-    if floors.is_empty() {
-        println!("quotient gate: all reduction factors ≥ {min_reduction:.1}×");
-    } else {
-        eprintln!("QUOTIENT REDUCTION BELOW FLOOR:");
-        for f in &floors {
-            eprintln!("  {f}");
-        }
-        fail(&mut worst, EXIT_REDUCTION);
-    }
-
-    // the Two Generals witness gate also needs no baseline: the
-    // expected values are theorems, not measurements
-    let witness = report.fault_witness_violations();
-    if witness.is_empty() {
-        println!(
-            "witness gate: common knowledge unattained at every fault point ({} records)",
-            report.fault_scenarios.len()
-        );
-    } else {
-        eprintln!("TWO GENERALS WITNESS VIOLATIONS:");
-        for v in &witness {
-            eprintln!("  {v}");
-        }
-        fail(&mut worst, EXIT_WITNESS);
-    }
-
-    // the merge-stall gate (v7, also baseline-free): the instrumented
-    // pass's credit-stall share must stay below the absolute ceiling —
-    // a reorder gate starving the workers shows up here long before it
-    // moves the gated wall times
-    let stall = report.stall_share_violations(stall_tolerance);
-    for w in &stall.warnings {
-        println!("gate warning: {w}");
-    }
-    if stall.regressions.is_empty() {
-        println!("stall gate: every instrumented stall share ≤ {stall_tolerance:.2}");
-    } else {
-        eprintln!("MERGE CREDIT-STALL VIOLATIONS:");
-        for r in &stall.regressions {
-            eprintln!("  {r}");
-        }
-        fail(&mut worst, EXIT_TELEMETRY);
-    }
-
-    if let Some(path) = baseline {
-        let raw = std::fs::read_to_string(path)?;
-        let base = PerfReport::parse_wall_times(&raw);
-        let wall = report.wall_gate(&base, tolerance);
-        for w in &wall.warnings {
-            println!("gate warning: {w}");
-        }
-        if wall.regressions.is_empty() {
-            println!(
-                "baseline {path}: no regression beyond {:.0}%",
-                tolerance * 100.0
-            );
-        } else {
-            eprintln!("PERF REGRESSIONS vs {path}:");
-            for r in &wall.regressions {
-                eprintln!("  {r}");
-            }
-            fail(&mut worst, EXIT_WALL);
-        }
-        // the merge gate: the streaming merge is the engine's residual
-        // serial section, so its active time is gated separately (it
-        // must not quietly grow back into the Amdahl ceiling)
-        let merge_base = PerfReport::parse_metric(&raw, "merge_wall_ms");
-        let merge = report.metric_gate(&merge_base, "merge_wall_ms", merge_tolerance);
-        for w in &merge.warnings {
-            println!("gate warning: {w}");
-        }
-        if merge.regressions.is_empty() {
-            println!(
-                "merge gate: no merge_wall_ms regression beyond {:.0}%",
-                merge_tolerance * 100.0
-            );
-        } else {
-            eprintln!("MERGE WALL-TIME REGRESSIONS vs {path}:");
-            for r in &merge.regressions {
-                eprintln!("  {r}");
-            }
-            fail(&mut worst, EXIT_WALL);
-        }
-    }
-    // the query gates: determinism and the cache hit-rate floor
-    // unconditionally, the qps floor against the same baseline file
-    // (skip-with-warning when absent)
-    if let Some(class) = gate_query_scenarios(&report, baseline, qps_tolerance, min_cache_hit_rate)
-    {
-        fail(&mut worst, class);
-    }
-    if let Some(code) = worst {
-        std::process::exit(code);
-    }
-    Ok(())
+/// §3's three figures.
+fn figures() -> Result<(), Box<dyn std::error::Error>> {
+    figure_3_1()?;
+    figure_3_2()?;
+    figure_3_3()
 }
 
 /// Figure 3-1: the isomorphism diagram of four computations over p, q.
@@ -1657,7 +760,7 @@ fn token_bus_example() -> Result<(), Box<dyn std::error::Error>> {
 }
 
 /// §3 properties 1–10.
-fn algebraic_properties() {
+fn algebraic_properties() -> Result<(), Box<dyn std::error::Error>> {
     section("§3 properties 1–10 of isomorphism relations");
     let pu = hpl_bench::token_bus_universe(3, 5);
     let iso = IsoIndex::new(pu.universe());
@@ -1681,10 +784,11 @@ fn algebraic_properties() {
     }
     assert!(violations.is_empty());
     println!("properties 1–10: REPRODUCED");
+    Ok(())
 }
 
 /// §4.1 knowledge facts 1–12 (including Lemma 2).
-fn knowledge_axioms() {
+fn knowledge_axioms() -> Result<(), Box<dyn std::error::Error>> {
     section("§4.1 knowledge facts 1–12 (incl. Lemma 2)");
     let pu = hpl_bench::token_bus_universe(3, 5);
     let mut interp = Interpretation::new();
@@ -1706,10 +810,11 @@ fn knowledge_axioms() {
     );
     assert!(report.passed(), "\n{}", report.render());
     println!("knowledge facts: REPRODUCED");
+    Ok(())
 }
 
 /// §4.2 local predicates, Lemma 3, common-knowledge corollaries.
-fn local_predicates() {
+fn local_predicates() -> Result<(), Box<dyn std::error::Error>> {
     section("§4.2 local predicates + Lemma 3 + CK corollaries");
     let pu = hpl_bench::token_bus_universe(3, 5);
     let mut interp = Interpretation::new();
@@ -1739,6 +844,7 @@ fn local_predicates() {
     );
     assert!(ck.passed());
     println!("local predicates & CK corollary: REPRODUCED");
+    Ok(())
 }
 
 /// Theorem 1 over random computations.
@@ -1771,7 +877,7 @@ fn theorem1_sampling() -> Result<(), Box<dyn std::error::Error>> {
 }
 
 /// Principle of computation extension + Theorem 3.
-fn extension_and_theorem3() {
+fn extension_and_theorem3() -> Result<(), Box<dyn std::error::Error>> {
     section("§3.4 computation extension + Theorem 3");
     let pu = hpl_bench::token_bus_universe(3, 5);
     let r1 = extension::check_extension_principle(pu.universe(), true);
@@ -1793,10 +899,11 @@ fn extension_and_theorem3() {
     println!("theorem 3: {} checks, passed: {}", r3.checks, r3.passed());
     assert!(r3.passed(), "{:?}", r3.violations);
     println!("event-type semantics: REPRODUCED");
+    Ok(())
 }
 
 /// Theorems 4, 5, 6 and Lemma 4 on an enumerated protocol.
-fn transfer_theorems() {
+fn transfer_theorems() -> Result<(), Box<dyn std::error::Error>> {
     section("§4.3 knowledge transfer (Theorems 4–6, Lemma 4)");
     // depth 8 lets the token travel 0→1→2→1, which is what nested
     // knowledge needs (p1 learns that p2 has learned).
@@ -1891,6 +998,7 @@ fn transfer_theorems() {
     );
     assert!(l4c.passed());
     println!("knowledge transfer: REPRODUCED");
+    Ok(())
 }
 
 /// Two generals ladder + CK impossibility.
@@ -2108,7 +1216,7 @@ fn ablation_report() -> Result<(), Box<dyn std::error::Error>> {
 
 /// The extension systems: mutex, snapshot, election — each validated
 /// through the paper's machinery on recorded traces.
-fn extras_report() {
+fn extras_report() -> Result<(), Box<dyn std::error::Error>> {
     use hpl_protocols::election::{leadership_chains_ok, run_election};
     use hpl_protocols::snapshot::run_money_snapshot;
     use hpl_protocols::token_ring::{
@@ -2152,6 +1260,7 @@ fn extras_report() {
     );
     assert!(out.leader.is_some() && leadership_chains_ok(&out.trace));
     println!("extras: all validated");
+    Ok(())
 }
 
 /// The §5-scale workload sweep: the paper's toy universes (≤ 65
@@ -2273,160 +1382,8 @@ fn sweep_report() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Byte-identity of a grown universe against a from-scratch one: size,
-/// per-id computations, event-id bindings, payload tables — the same
-/// comparison `tests/incremental.rs` certifies across randomized
-/// protocols, re-checked here on the sweep workloads so the gate's
-/// speedup claim can never outlive the correctness claim.
-fn universes_identical(a: &hpl_core::ProtocolUniverse, b: &hpl_core::ProtocolUniverse) -> bool {
-    a.universe().len() == b.universe().len()
-        && a.payload_table() == b.payload_table()
-        && a.universe().iter().all(|(id, c)| {
-            b.universe().get(id) == c
-                && c.iter()
-                    .all(|e| a.universe().event(e.id()) == b.universe().event(e.id()))
-        })
-}
-
-/// One incremental-growth measurement: enumerate `schedule[0]` with a
-/// checkpoint (untimed), then time the extension chain through the
-/// rest of the schedule against a from-scratch enumeration at the
-/// deepest horizon (both best-of-`rounds`), and witness byte-identity
-/// of the two results.
-fn measure_growth<P: hpl_core::Protocol + Sync>(
-    name: &str,
-    protocol: &P,
-    schedule: &[usize],
-    cfg: &ShardConfig,
-    rounds: usize,
-) -> Result<IncrementalScenario, Box<dyn std::error::Error>> {
-    use hpl_core::{enumerate_sharded, extend_sharded};
-    let lim = |d: usize| EnumerationLimits {
-        max_events: d,
-        max_computations: 20_000_000,
-    };
-    let deepest = *schedule.last().expect("schedules are nonempty");
-    let base = enumerate_sharded(protocol, lim(schedule[0]), cfg)?;
-    let seed_frontier = base.frontier.expect("checkpoint requested");
-    // interleave rebuild/extend rounds (best-of each) so slow drift in
-    // the host's clock rate — turbo decay over a long sweep — cannot
-    // systematically favor whichever side is measured last
-    let mut rebuild_wall_ms = f64::INFINITY;
-    let mut extend_wall_ms = f64::INFINITY;
-    let mut scratch = None;
-    let mut grown = None;
-    for _ in 0..rounds.max(1) {
-        let (ms, out) = time_ms(1, || enumerate_sharded(protocol, lim(deepest), cfg));
-        rebuild_wall_ms = rebuild_wall_ms.min(ms);
-        scratch = Some(out?);
-        let (ms, out) = time_ms(1, || {
-            let mut out = extend_sharded(protocol, &seed_frontier, lim(schedule[1]), cfg)?;
-            for &d in &schedule[2..] {
-                let frontier = out.frontier.take().expect("checkpoint requested");
-                out = extend_sharded(protocol, &frontier, lim(d), cfg)?;
-            }
-            Ok::<_, hpl_core::CoreError>(out)
-        });
-        extend_wall_ms = extend_wall_ms.min(ms);
-        grown = Some(out?);
-    }
-    let scratch = scratch.expect("at least one round ran");
-    let grown = grown.expect("at least one round ran");
-    let identical = universes_identical(&grown.universe, &scratch.universe);
-    Ok(IncrementalScenario {
-        name: name.to_owned(),
-        depths: schedule.to_vec(),
-        extend_wall_ms,
-        rebuild_wall_ms,
-        speedup: rebuild_wall_ms / extend_wall_ms,
-        resumed: grown.stats.resumed,
-        universe_size: grown.universe.universe().len(),
-        identical,
-    })
-}
-
-/// `repro sweep --incremental`: the incremental-growth sweep behind
-/// the v8 `incremental_scenarios` records and CI's exit-7 gate. Grows
-/// checkpointed symmetry-rich workloads to their deepest horizon and
-/// requires the extension chain to (a) reproduce the from-scratch
-/// universe byte-identically and (b) beat the rebuild's wall time by
-/// `min_speedup`.
-///
-/// The gated workloads are the broadcast-star family because that is
-/// the regime where growing in place genuinely pays: resuming from a
-/// frontier re-walks the old tree (protocol actions per edge, same as
-/// a rebuild) but skips the *merge decision* on every replayed node,
-/// so the win scales with the cost of canonicalizing over the
-/// automorphism group — order `(n−1)!` for the star. Trivial-group
-/// workloads (the line bus, two generals) re-decide almost for free
-/// and a rebuild stays at parity or better; their grown universes are
-/// still certified byte-identical by `tests/incremental.rs`, they just
-/// make no speed claim.
-fn incremental_sweep_report(
-    out_path: &str,
-    min_speedup: f64,
-) -> Result<(), Box<dyn std::error::Error>> {
-    use hpl_protocols::token_bus::BroadcastBus;
-
-    section("incremental sweep: grown checkpoints vs from-scratch rebuilds");
-    let mut report = PerfReport::default();
-    report.host_fact(
-        "nproc",
-        std::thread::available_parallelism().map_or(1.0, |n| n.get() as f64),
-    );
-
-    let rounds = 3;
-    // the depth-14 sweep: |G| = 5! = 120, one-level growth
-    report.push_incremental(measure_growth(
-        "incremental_broadcast_star6_quotient_d13_d14",
-        &BroadcastBus::new(6),
-        &[13, 14],
-        &ShardConfig::with_shards(1).quotient().checkpoint(),
-        rounds,
-    )?);
-    // |G| = 4! = 24 with chatter-widened branching
-    report.push_incremental(measure_growth(
-        "incremental_broadcast_star5_chatter_quotient_d7_d8",
-        &BroadcastBus::with_chatter(5, 1),
-        &[7, 8],
-        &ShardConfig::with_shards(1).quotient().checkpoint(),
-        rounds,
-    )?);
-
-    println!(
-        "{:>46} {:>9} {:>11} {:>11} {:>8} {:>9}",
-        "scenario", "universe", "extend_ms", "rebuild_ms", "speedup", "identical"
-    );
-    for s in &report.incremental_scenarios {
-        println!(
-            "{:>46} {:>9} {:>11.1} {:>11.1} {:>7.2}x {:>9}",
-            s.name, s.universe_size, s.extend_wall_ms, s.rebuild_wall_ms, s.speedup, s.identical
-        );
-    }
-    std::fs::write(out_path, report.to_json())?;
-    println!("report → {out_path}");
-
-    let gate = report.incremental_gate(min_speedup);
-    for w in &gate.warnings {
-        println!("warning: {w}");
-    }
-    if gate.regressions.is_empty() {
-        println!(
-            "incremental gate: {} record(s) byte-identical and at or above the \
-             {min_speedup:.2}x speedup floor",
-            report.incremental_scenarios.len()
-        );
-        Ok(())
-    } else {
-        for r in &gate.regressions {
-            eprintln!("INCREMENTAL GATE FAILURE: {r}");
-        }
-        std::process::exit(EXIT_INCREMENTAL);
-    }
-}
-
 /// §5 application 3: the termination-detection overhead table.
-fn termination_report() {
+fn termination_report() -> Result<(), Box<dyn std::error::Error>> {
     section("§5 app 3: termination detection overhead (the Ω(M) bound)");
     let net = NetworkConfig::uniform(ChannelConfig {
         delay: DelayModel::Uniform { lo: 1, hi: 30 },
@@ -2486,4 +1443,5 @@ fn termination_report() {
         assert!(out.overhead_ratio() >= 1.0, "Ω(M) bound");
     }
     println!("overhead ≥ underlying on the adversarial workload — REPRODUCED");
+    Ok(())
 }

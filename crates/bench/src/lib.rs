@@ -1,4 +1,5 @@
-//! Shared fixtures for the benchmark suite and the `repro` binary.
+//! Shared fixtures for the criterion benches, the `repro` binary and the
+//! `perfbench` benchmark.
 //!
 //! Centralizes the workload generators so that every bench and the
 //! reproduction report measure the same artifacts.
@@ -12,12 +13,10 @@ use hpl_protocols::token_bus::TokenBus;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-pub mod report;
-
 /// The process's peak resident set size in kilobytes (`VmHWM` from
 /// `/proc/self/status`), or `None` where the proc filesystem is
-/// unavailable (non-Linux hosts). Recorded as a host fact in the perf
-/// report so memory-bound regressions are visible across runs.
+/// unavailable (non-Linux hosts). `perfbench` reports it as
+/// `peak_rss_mb`, so memory-bound regressions are visible across runs.
 #[must_use]
 pub fn peak_rss_kb() -> Option<f64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;

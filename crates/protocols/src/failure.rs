@@ -18,8 +18,8 @@
 //! * **Timed possibility** — [`Heartbeater`] / [`Monitor`] run on the
 //!   simulator; with bounded delays and a timeout exceeding
 //!   `interval + delay bound`, detection is exact. [`sweep_timeouts`]
-//!   produces the latency/false-positive trade-off table (experiment A2
-//!   in EXPERIMENTS.md).
+//!   produces the latency/false-positive trade-off table printed by
+//!   `repro failure`.
 
 use hpl_core::{
     enumerate, CoreError, EnumerationLimits, Evaluator, Formula, Interpretation, LocalView,

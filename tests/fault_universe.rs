@@ -83,9 +83,10 @@ fn universes_are_deduplicated_and_prefix_closed() {
 }
 
 /// The Two Generals impossibility as a directed integration test over
-/// the whole sweep: at every drop rate — zero included — common
-/// knowledge of `attack-planned` is unattained in the sampled universe,
-/// while plain knowledge climbs wherever messengers survive.
+/// the whole sweep: at every drop rate — zero included — and across a
+/// partition that cuts the generals apart and heals, common knowledge of
+/// `attack-planned` is unattained in the sampled universe, while plain
+/// knowledge climbs wherever messengers survive.
 #[test]
 fn two_generals_witness_over_the_drop_sweep() {
     let base = FaultModel::new(NetworkConfig::uniform(ChannelConfig {
@@ -95,6 +96,36 @@ fn two_generals_witness_over_the_drop_sweep() {
     }))
     .runs(24)
     .seeded(17);
+
+    // cut mid-exchange, heal late: outside the coupled drop chain below,
+    // so its delivered count is not ordered against the drop points
+    let healed = FaultModel {
+        network: base
+            .network
+            .clone()
+            .with_partition(PartitionSchedule::split(
+                [0],
+                [1],
+                SimTime::from_ticks(6),
+                Some(SimTime::from_ticks(60)),
+            )),
+        ..base.clone()
+    };
+    let w = fault_witness(3, &healed, 4).unwrap();
+    assert!(
+        !w.ck_attained,
+        "common knowledge attained across the partition"
+    );
+    assert!(
+        w.knows_attained,
+        "plain knowledge dead across the partition"
+    );
+    assert!(w.dropped > 0, "the partition must cut something");
+    assert!(
+        w.max_knowledge_level >= 1,
+        "messages after the heal still teach g1 something"
+    );
+
     let mut prev_delivered = usize::MAX;
     for model in base.crash_drop_grid(&[0.0, 0.1, 0.25, 0.5], &[]) {
         let w = fault_witness(3, &model, 4).unwrap();
