@@ -1,7 +1,6 @@
-//! Shared fixtures for the criterion benches, the `repro` binary and the
-//! `perfbench` benchmark.
+//! Shared fixtures for the `repro` binary and the `perfbench` benchmark.
 //!
-//! Centralizes the workload generators so that every bench and the
+//! Centralizes the workload generators so that the benchmark and the
 //! reproduction report measure the same artifacts.
 
 #![forbid(unsafe_code)]
@@ -53,7 +52,7 @@ pub fn random_computation(n: usize, steps: usize, seed: u64) -> Computation {
     b.finish()
 }
 
-/// The enumerated token-bus universe used across benches.
+/// The enumerated token-bus universe the report's sections share.
 ///
 /// # Panics
 ///
@@ -67,8 +66,9 @@ pub fn token_bus_universe(n: usize, depth: usize) -> ProtocolUniverse {
 /// A symmetric interleaving-stress protocol: `n` processes each take up
 /// to `k` independent internal steps, so the universe is dominated by
 /// permutations of the same partial order. This is the worst case for
-/// plain enumeration and the best case for canonical-form dedupe, which
-/// collapses it from exponential to polynomial.
+/// plain enumeration and the best case for the quotient, which (the
+/// protocol declares no symmetry) collapses it to its `[D]`-classes:
+/// from exponential to polynomial.
 #[derive(Clone, Copy, Debug)]
 pub struct InterleavingStress {
     /// Number of processes.

@@ -218,7 +218,7 @@ impl ProtocolUniverse {
     }
 
     /// The full message→payload table, sorted by message id — a canonical
-    /// view used by determinism checks and the perf report.
+    /// view used by determinism checks.
     #[must_use]
     pub fn payload_table(&self) -> Vec<(MessageId, u32)> {
         let mut t: Vec<(MessageId, u32)> = self.payloads.iter().map(|(&m, &p)| (m, p)).collect();

@@ -46,7 +46,7 @@ pub enum CoreError {
     },
     /// An incremental enumeration was handed a frontier that does not
     /// match the protocol or configuration it is being resumed under
-    /// (wrong system size, wrong dedupe/quotient mode, or a horizon
+    /// (wrong system size, wrong quotient mode, or a horizon
     /// shallower than the frontier's own); see
     /// [`extend_sharded`](crate::extend_sharded).
     FrontierMismatch {

@@ -483,8 +483,8 @@ impl<'u> IsoIndex<'u> {
 /// per process in `procs`, a `u64::MAX` separator followed by the
 /// projected event-id sequence. Two computations share a signature iff
 /// they are `[P]`-isomorphic — this single definition backs both
-/// [`IsoIndex::classes`] partitioning and the parallel engine's
-/// canonical-form dedupe, which must agree on what "isomorphic" means.
+/// [`IsoIndex::classes`] partitioning and the merge's trivial-group
+/// quotient, which must agree on what "isomorphic" means.
 pub(crate) fn projection_signature_into(
     key: &mut Vec<u64>,
     events: &[hpl_model::Event],

@@ -55,17 +55,16 @@
 //! (`peak_buffered_bytes`, `largest_batch_bytes`) and the active merge
 //! time (`merge_wall_ms`).
 //!
-//! The merge optionally **dedupes isomorphic computations**: two
-//! computations with the same per-process projections (`x [D] y` — pure
-//! interleavings of one another) collapse onto the first representative
-//! in canonical order, so the universe stops growing with symmetric
-//! permutations. Dedupe changes knowledge semantics (classes lose their
-//! permuted members) and is therefore opt-in; it is sound for queries
-//! whose atoms are permutation-invariant. [`ShardConfig::quotient`]
-//! additionally collapses process relabelings (see
-//! [`crate::symmetry`]); because batches are spliced in deterministic
-//! pre-order, orbit representatives and multiplicities are byte-stable
-//! across shard counts and batch sizes too.
+//! The merge optionally **quotients** the universe
+//! ([`ShardConfig::quotient`], see [`crate::symmetry`]): computations
+//! with the same per-process projections (`x [D] y` — interleavings of
+//! one another), and their relabelings under the protocol's declared
+//! symmetry group, collapse onto the first representative in canonical
+//! order. Without declared symmetry this is exactly the `[D]`-collapse.
+//! It changes knowledge semantics and is therefore opt-in. Because
+//! batches are spliced in deterministic pre-order, orbit representatives
+//! and multiplicities are byte-stable across shard counts and batch
+//! sizes too.
 //!
 //! Determinism requires [`Protocol`] implementations to be *pure*:
 //! `actions` and `accepts` must be functions of their arguments only.
@@ -87,7 +86,7 @@ use crate::universe::{GrowthMap, Universe};
 use crossbeam::channel::{self, Sender};
 use hpl_model::{ActionId, Computation, Event, EventId, EventKind, MessageId, ProcessId};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -100,7 +99,7 @@ use std::time::{Duration, Instant};
 /// let cfg = ShardConfig::with_shards(4).batch_nodes(1024).quotient();
 /// assert_eq!(cfg.shards, 4);
 /// assert_eq!(cfg.batch_nodes, 1024);
-/// assert!(cfg.quotient && !cfg.dedupe);
+/// assert!(cfg.quotient);
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct ShardConfig {
@@ -120,19 +119,14 @@ pub struct ShardConfig {
     /// batches tighten the memory bound at the cost of more channel
     /// traffic. Clamped to at least 1.
     pub batch_nodes: usize,
-    /// Collapse `[D]`-isomorphic computations (same per-process
-    /// projections) onto one canonical representative. Opt-in: this is a
-    /// quotient of the paper's universe, sound only for
-    /// permutation-invariant queries.
-    pub dedupe: bool,
-    /// Symmetry-quotient mode: additionally collapse relabelings under
-    /// the protocol's declared automorphism group
-    /// ([`Protocol::symmetry`]), storing one orbit representative with
-    /// its multiplicity ([`ShardedEnumeration::orbits`]). Subsumes
-    /// `dedupe` (the orbit relation contains `[D]`-isomorphism). Sound
-    /// for queries whose atoms are invariant under the group and under
-    /// interleaving, evaluated through
-    /// [`Evaluator::with_symmetry`](crate::Evaluator::with_symmetry).
+    /// Symmetry-quotient mode: collapse `[D]`-isomorphic computations
+    /// (same per-process projections) and their relabelings under the
+    /// protocol's declared automorphism group ([`Protocol::symmetry`]),
+    /// storing one orbit representative with its multiplicity
+    /// ([`ShardedEnumeration::orbits`]); under the trivial group the
+    /// orbits are the `[D]`-classes. Sound for queries whose atoms are
+    /// invariant under the group and under interleaving, evaluated
+    /// through [`Evaluator::with_symmetry`](crate::Evaluator::with_symmetry).
     pub quotient: bool,
     /// Hard cap on finished-but-not-yet-spliced batches the merge may
     /// park in its reorder buffer. Workers producing for a task other
@@ -172,14 +166,13 @@ pub const DEFAULT_MAX_BUFFERED_BATCHES: usize = 64;
 
 impl ShardConfig {
     /// A configuration with `shards` workers and default split depth,
-    /// batch size and reorder-buffer cap, no dedupe, no quotient.
+    /// batch size and reorder-buffer cap, no quotient.
     #[must_use]
     pub fn with_shards(shards: usize) -> Self {
         ShardConfig {
             shards,
             split_depth: None,
             batch_nodes: DEFAULT_BATCH_NODES,
-            dedupe: false,
             quotient: false,
             max_buffered_batches: DEFAULT_MAX_BUFFERED_BATCHES,
             checkpoint: false,
@@ -199,13 +192,6 @@ impl ShardConfig {
     #[must_use]
     pub fn max_buffered_batches(mut self, batches: usize) -> Self {
         self.max_buffered_batches = batches.max(1);
-        self
-    }
-
-    /// Enables canonical-form dedupe.
-    #[must_use]
-    pub fn dedupe(mut self) -> Self {
-        self.dedupe = true;
         self
     }
 
@@ -270,7 +256,7 @@ impl Default for ShardConfig {
 /// Counters describing one sharded enumeration run.
 #[derive(Clone, Copy, Debug)]
 pub struct EnumerationStats {
-    /// Tree nodes explored (computations before dedupe/quotient). For
+    /// Tree nodes explored (computations before the quotient). For
     /// extensions this counts the whole tree at the deeper horizon —
     /// replayed nodes included — so it is comparable with a from-scratch
     /// run's count.
@@ -279,8 +265,8 @@ pub struct EnumerationStats {
     /// against the protocol (`0` for from-scratch enumerations; always
     /// `≤ explored`).
     pub resumed: usize,
-    /// Computations kept in the universe (equals `explored` without
-    /// dedupe or quotient).
+    /// Computations kept in the universe (equals `explored` outside
+    /// quotient mode).
     pub unique: usize,
     /// Frontier tasks distributed to workers.
     pub tasks: usize,
@@ -307,21 +293,14 @@ pub struct EnumerationStats {
 }
 
 impl EnumerationStats {
-    /// Explored-to-kept ratio (`1.0` without dedupe or quotient; higher
-    /// means more symmetric permutations collapsed). In quotient mode
-    /// this is the universe **reduction factor**.
+    /// The universe **reduction factor**: explored-to-kept ratio (`1.0`
+    /// outside quotient mode; higher means more interleavings and
+    /// relabelings collapsed).
     #[must_use]
-    pub fn dedupe_ratio(&self) -> f64 {
+    pub fn reduction_factor(&self) -> f64 {
         #[allow(clippy::cast_precision_loss)]
         let (e, u) = (self.explored as f64, self.unique.max(1) as f64);
         e / u
-    }
-
-    /// Alias for [`EnumerationStats::dedupe_ratio`], named for quotient
-    /// runs.
-    #[must_use]
-    pub fn reduction_factor(&self) -> f64 {
-        self.dedupe_ratio()
     }
 }
 
@@ -329,7 +308,7 @@ impl EnumerationStats {
 #[derive(Debug)]
 pub struct ShardedEnumeration {
     /// The enumerated universe (byte-identical to the sequential engine's
-    /// when dedupe and quotient are off).
+    /// outside quotient mode).
     pub universe: ProtocolUniverse,
     /// Exploration counters.
     pub stats: EnumerationStats,
@@ -345,29 +324,6 @@ pub struct ShardedEnumeration {
     /// source universe landed in the grown one. `None` for from-scratch
     /// enumerations.
     pub growth: Option<GrowthMap>,
-}
-
-/// Which merge mode produced a [`Frontier`] — an extension must resume
-/// under the same mode, because the frontier's journal records which
-/// nodes that mode kept.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum FrontierMode {
-    Exact,
-    Dedupe,
-    Quotient,
-}
-
-impl FrontierMode {
-    /// The mode a config selects.
-    fn of(config: &ShardConfig) -> Self {
-        if config.quotient {
-            FrontierMode::Quotient
-        } else if config.dedupe {
-            FrontierMode::Dedupe
-        } else {
-            FrontierMode::Exact
-        }
-    }
 }
 
 /// One journaled pre-order node of a checkpointed run: its depth (events
@@ -402,7 +358,10 @@ pub struct Frontier {
     system_size: usize,
     /// The producing run's horizon (`limits.max_events`).
     depth: usize,
-    mode: FrontierMode,
+    /// Whether the producing run quotiented — an extension must resume
+    /// in the same mode, because the journal records which nodes that
+    /// mode kept.
+    quotient: bool,
     /// Generation of the universe state this frontier was captured from
     /// — extensions stamp it into their [`GrowthMap`].
     generation: u64,
@@ -419,11 +378,11 @@ pub struct Frontier {
 
 impl Frontier {
     /// The depth-0 frontier every enumeration grows from: the root alone.
-    fn root(system_size: usize, mode: FrontierMode) -> Self {
+    fn root(system_size: usize, quotient: bool) -> Self {
         Frontier {
             system_size,
             depth: 0,
-            mode,
+            quotient,
             generation: 0,
             events: Vec::new(),
             payloads: HashMap::new(),
@@ -1044,18 +1003,9 @@ struct Merger {
 enum MergeMode {
     /// Keep everything: byte-identical to the sequential engine.
     Exact,
-    /// Collapse `[D]`-isomorphic interleavings onto the first
-    /// representative (canonical per-process projection signatures
-    /// already represented). Kept as its own mode — rather than
-    /// delegating to `Quotient` with the trivial group — because its
-    /// event-id signatures skip the payload lookups and per-step
-    /// re-derivation of the structural path; the two partitions are
-    /// certified to agree in `tests/parallel.rs`
-    /// (`dedupe_and_trivial_quotient_partition_identically`).
-    Dedupe(HashSet<Vec<u64>>),
     /// Symmetry quotient: collapse orbits under the protocol's
     /// automorphism group, tracking multiplicities (boxed: the state
-    /// carries scratch buffers and dwarfs the other variants).
+    /// carries scratch buffers and dwarfs the other variant).
     Quotient(Box<QuotientState>),
 }
 
@@ -1123,13 +1073,13 @@ impl Merger {
     }
 
     /// Inserts the computation at the replay head as a
-    /// previously-decided representative, skipping the dedupe/quotient
+    /// previously-decided representative, skipping the quotient
     /// decision: no node explored past the frontier can collapse onto it
-    /// (every such node is strictly longer, and both dedupe signatures
-    /// and canonical keys determine length), so re-deciding would only
-    /// re-derive what the frontier already recorded. Quotient mode
-    /// re-registers the representative's descriptors and adopts its
-    /// captured multiplicity as final.
+    /// (every such node is strictly longer, and orbit keys determine
+    /// length), so re-deciding would only re-derive what the frontier
+    /// already recorded. Quotient mode re-registers the
+    /// representative's descriptors and adopts its captured multiplicity
+    /// as final.
     fn adopt_current(&mut self, multiplicity: Option<u64>) {
         if let MergeMode::Quotient(q) = &mut self.mode {
             let payloads = &self.space.payloads;
@@ -1158,8 +1108,8 @@ impl Merger {
     /// Grows the universe's tables toward the live explored count — in
     /// exact mode every explored node is kept, so the counter (which the
     /// workers race ahead of the merge) forecasts the final size and the
-    /// id table stops rehashing early. Dedupe/quotient keep far fewer
-    /// members than they explore, so the forecast would over-reserve.
+    /// id table stops rehashing early. The quotient keeps far fewer
+    /// members than it explores, so the forecast would over-reserve.
     fn forecast(&mut self, explored: usize) {
         if matches!(self.mode, MergeMode::Exact) {
             self.universe.reserve_to(explored);
@@ -1179,25 +1129,17 @@ impl Merger {
         }
     }
 
-    /// Inserts the computation at the replay head, unless dedupe or the
-    /// symmetry quotient finds an isomorphic member already present;
-    /// returns whether the node was kept.
+    /// Inserts the computation at the replay head, unless the symmetry
+    /// quotient finds a member of its orbit already present; returns
+    /// whether the node was kept.
     fn insert_current(&mut self) -> bool {
-        match &mut self.mode {
-            MergeMode::Exact => {}
-            MergeMode::Dedupe(seen) => {
-                if !seen.insert(canonical_signature(self.system_size, &self.events)) {
-                    return false;
-                }
-            }
-            MergeMode::Quotient(q) => {
-                let payloads = &self.space.payloads;
-                let decision = q.observe(self.system_size, &self.events, &mut |m| {
-                    payloads.get(&m).copied().unwrap_or(0)
-                });
-                if matches!(decision, OrbitDecision::Collapsed) {
-                    return false;
-                }
+        if let MergeMode::Quotient(q) = &mut self.mode {
+            let payloads = &self.space.payloads;
+            let decision = q.observe(self.system_size, &self.events, &mut |m| {
+                payloads.get(&m).copied().unwrap_or(0)
+            });
+            if matches!(decision, OrbitDecision::Collapsed) {
+                return false;
             }
         }
         let c = Computation::from_events_trusted(self.system_size, self.events.clone());
@@ -1215,11 +1157,6 @@ impl Merger {
                 records,
                 self.space.events.clone(),
                 self.space.payloads.clone(),
-                match self.mode {
-                    MergeMode::Exact => FrontierMode::Exact,
-                    MergeMode::Dedupe(_) => FrontierMode::Dedupe,
-                    MergeMode::Quotient(_) => FrontierMode::Quotient,
-                },
             )
         });
         let EventSpace {
@@ -1232,14 +1169,14 @@ impl Merger {
         self.universe.commit_generation();
         let orbits = match self.mode {
             MergeMode::Quotient(q) => Some(q.into_orbits()),
-            MergeMode::Exact | MergeMode::Dedupe(_) => None,
+            MergeMode::Exact => None,
         };
         let system_size = self.system_size;
         let universe = ProtocolUniverse::from_parts(self.universe, payloads);
-        let frontier = checkpoint.map(|(records, events, payloads, mode)| Frontier {
+        let frontier = checkpoint.map(|(records, events, payloads)| Frontier {
             system_size,
             depth: horizon,
-            mode,
+            quotient: orbits.is_some(),
             generation: universe.universe().generation(),
             events,
             payloads,
@@ -1251,21 +1188,6 @@ impl Merger {
         });
         (universe, orbits, frontier)
     }
-}
-
-/// The canonical form under `[D]`: the per-process projection signature
-/// shared with [`IsoIndex`](crate::IsoIndex) partitioning (one
-/// definition, so dedupe classes and evaluator classes cannot drift).
-/// Two computations share this signature iff they are permutations of
-/// one another that every process sees identically.
-fn canonical_signature(system_size: usize, events: &[Event]) -> Vec<u64> {
-    let mut sig: Vec<u64> = Vec::with_capacity(events.len() + system_size);
-    crate::isomorphism::projection_signature_into(
-        &mut sig,
-        events,
-        (0..system_size).map(ProcessId::new),
-    );
-    sig
 }
 
 /// Live accounting of the streaming merge.
@@ -1420,9 +1342,9 @@ fn consume_task_batches(
 /// is then extended to the horizon exactly as [`extend_sharded`] would,
 /// with its leaves as the worker tasks.
 ///
-/// Without dedupe the result is byte-identical to the sequential engine
-/// for every shard count, split depth and batch size: same computations,
-/// same `CompId` order, same event ids, same payload table.
+/// Outside quotient mode the result is byte-identical to the sequential
+/// engine for every shard count, split depth and batch size: same
+/// computations, same `CompId` order, same event ids, same payload table.
 ///
 /// # Example
 ///
@@ -1457,7 +1379,7 @@ fn consume_task_batches(
 /// # Errors
 ///
 /// Returns [`CoreError::EnumerationBudgetExceeded`] if the tree exceeds
-/// `limits.max_computations` nodes (counted before dedupe).
+/// `limits.max_computations` nodes (counted before the quotient).
 pub fn enumerate_sharded<P: Protocol + Sync + ?Sized>(
     protocol: &P,
     limits: EnumerationLimits,
@@ -1469,7 +1391,7 @@ pub fn enumerate_sharded<P: Protocol + Sync + ?Sized>(
     let split = config.split_depth.unwrap_or(3).min(limits.max_events);
     let prefix = {
         let _prefix = hpl_telemetry::span("enum.prefix");
-        let root = Frontier::root(protocol.system_size(), FrontierMode::of(config));
+        let root = Frontier::root(protocol.system_size(), config.quotient);
         let on_caller = ShardConfig {
             shards: 1,
             checkpoint: true,
@@ -1500,8 +1422,6 @@ fn merge_mode<P: Protocol + ?Sized>(protocol: &P, config: &ShardConfig) -> Merge
             generators,
             protocol.system_size(),
         )))
-    } else if config.dedupe {
-        MergeMode::Dedupe(HashSet::new())
     } else {
         MergeMode::Exact
     }
@@ -1863,13 +1783,13 @@ fn grow<P: Protocol + Sync + ?Sized>(
 /// [`enumerate_sharded`] run at the deeper horizon — same `CompId`
 /// order, event ids, payload table, orbit representatives and
 /// multiplicities — for every shard count, split depth, batch size and
-/// dedupe/quotient mode, because replayed events re-intern at their
-/// original pre-order positions and new subtrees splice in at exactly
-/// the pre-order slots a from-scratch merge would reach them. What an
+/// merge mode, because replayed events re-intern at their original
+/// pre-order positions and new subtrees splice in at exactly the
+/// pre-order slots a from-scratch merge would reach them. What an
 /// extension never re-pays is the old tree's *decisions*: replayed
-/// representatives re-enter the universe without dedupe signatures or
-/// canonical keys (every newly explored node is strictly longer than
-/// every frontier-era node, so their keys cannot collide), and orbit
+/// representatives re-enter the universe without orbit keys (every
+/// newly explored node is strictly longer than every frontier-era
+/// node, so their keys cannot collide), and orbit
 /// multiplicities are adopted as captured instead of recanonicalizing
 /// the old tree.
 ///
@@ -1915,7 +1835,7 @@ fn grow<P: Protocol + Sync + ?Sized>(
 /// # Errors
 ///
 /// [`CoreError::FrontierMismatch`] if the frontier disagrees with the
-/// protocol's system size or the config's dedupe/quotient mode, or the
+/// protocol's system size or the config's quotient mode, or the
 /// new horizon is shallower than the frontier's;
 /// [`CoreError::EnumerationBudgetExceeded`] if replayed plus newly
 /// explored nodes exceed `limits.max_computations`.
@@ -1934,11 +1854,10 @@ pub fn extend_sharded<P: Protocol + Sync + ?Sized>(
             protocol.system_size()
         )));
     }
-    let mode_wanted = FrontierMode::of(config);
-    if frontier.mode != mode_wanted {
+    if frontier.quotient != config.quotient {
         return Err(mismatch(format!(
-            "frontier was captured in {:?} mode, the extension is configured for {:?}",
-            frontier.mode, mode_wanted
+            "frontier was captured with quotient {}, the extension is configured with quotient {}",
+            frontier.quotient, config.quotient
         )));
     }
     if limits.max_events < frontier.depth {
@@ -2068,7 +1987,7 @@ mod tests {
                     assert_identical(&out.universe, &seq);
                     assert_eq!(out.stats.explored, seq.universe().len());
                     assert_eq!(out.stats.unique, seq.universe().len());
-                    assert!((out.stats.dedupe_ratio() - 1.0).abs() < 1e-9);
+                    assert!((out.stats.reduction_factor() - 1.0).abs() < 1e-9);
                     assert!(out.stats.batches >= out.stats.tasks);
                 }
             }
@@ -2150,16 +2069,19 @@ mod tests {
 
     #[test]
     fn dedupe_collapses_interleavings() {
-        // Clocks is pure interleaving: the dedupe quotient is the set of
-        // per-process step-count vectors. For n=2, k=2 that is 3×3 = 9
-        // members versus 19 interleavings.
-        let cfg = ShardConfig::with_shards(2).dedupe();
+        // Clocks is pure interleaving and declares no symmetry, so its
+        // quotient is the [D]-collapse: the set of per-process
+        // step-count vectors. For n=2, k=2 that is 3×3 = 9 members
+        // versus 19 interleavings.
+        let cfg = ShardConfig::with_shards(2).quotient();
         let out =
             enumerate_sharded(&Clocks { n: 2, k: 2 }, EnumerationLimits::depth(4), &cfg).unwrap();
         assert_eq!(out.stats.explored, 19);
         assert_eq!(out.stats.unique, 9);
+        assert_eq!(out.stats.group_order, 1);
         assert_eq!(out.universe.universe().len(), 9);
-        assert!(out.stats.dedupe_ratio() > 2.0);
+        assert_eq!(out.orbits.as_ref().unwrap().full_size(), 19);
+        assert!(out.stats.reduction_factor() > 2.0);
         // every member is the canonical representative of its class: no
         // two members share per-process projections
         let u = out.universe.universe();
@@ -2201,7 +2123,7 @@ mod tests {
 
     #[test]
     fn quotient_collapses_orbits_with_multiplicities() {
-        // n=2, k=2, depth 4: 19 interleavings; [D]-dedupe keeps the 9
+        // n=2, k=2, depth 4: 19 interleavings; the [D]-collapse keeps the 9
         // count vectors (a,b); the S_2 quotient keeps the 6 multisets
         // {a,b} with a ≤ b ≤ 2.
         let cfg = ShardConfig::with_shards(2).quotient();
@@ -2264,19 +2186,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn quotient_with_trivial_group_matches_dedupe() {
-        // Clocks declares no symmetry → quotient reduces to [D]-dedupe
-        // with multiplicity tracking.
-        let p = Clocks { n: 2, k: 2 };
-        let limits = EnumerationLimits::depth(4);
-        let ded = enumerate_sharded(&p, limits, &ShardConfig::with_shards(2).dedupe()).unwrap();
-        let quo = enumerate_sharded(&p, limits, &ShardConfig::with_shards(2).quotient()).unwrap();
-        assert_identical(&quo.universe, &ded.universe);
-        assert_eq!(quo.stats.group_order, 1);
-        assert_eq!(quo.orbits.as_ref().unwrap().full_size(), 19);
     }
 
     #[test]
@@ -2411,10 +2320,10 @@ mod tests {
         )
         .unwrap();
         assert!(out.stats.shards >= 1);
-        let ded = ShardConfig::with_shards(2).dedupe();
-        assert!(ded.dedupe);
-        assert_eq!(ded.shards, 2);
-        assert_eq!(ded.batch_nodes, DEFAULT_BATCH_NODES);
+        let quo = ShardConfig::with_shards(2).quotient();
+        assert!(quo.quotient);
+        assert_eq!(quo.shards, 2);
+        assert_eq!(quo.batch_nodes, DEFAULT_BATCH_NODES);
         // the knobs clamp to at least one node per batch / parked batch
         assert_eq!(ShardConfig::with_shards(1).batch_nodes(0).batch_nodes, 1);
         assert_eq!(
@@ -2508,10 +2417,9 @@ mod tests {
         }
     }
 
-    fn extend_configs(shards: usize) -> [ShardConfig; 3] {
+    fn extend_configs(shards: usize) -> [ShardConfig; 2] {
         [
             ShardConfig::with_shards(shards).checkpoint(),
-            ShardConfig::with_shards(shards).checkpoint().dedupe(),
             ShardConfig::with_shards(shards).checkpoint().quotient(),
         ]
     }
@@ -2629,7 +2537,7 @@ mod tests {
             &Clocks { n: 2, k: 2 },
             &frontier,
             EnumerationLimits::depth(6),
-            &ShardConfig::with_shards(1).dedupe(),
+            &ShardConfig::with_shards(1).quotient(),
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::FrontierMismatch { .. }), "{err}");

@@ -25,10 +25,12 @@
 //! identity is exactly (process, local prefix, step) — two computations
 //! share a structural signature iff they share per-process event-id
 //! projections, so the signature agrees with
-//! [`IsoIndex`](crate::IsoIndex) partitioning and the `[D]`-dedupe of the
-//! parallel engine. The **canonical key** of a computation is the
-//! lexicographic minimum of its structural signature over all group
-//! elements; [`canonical_key`] exposes it for property tests.
+//! [`IsoIndex`](crate::IsoIndex) partitioning. The **canonical key** of a
+//! computation is the lexicographic minimum of its structural signature
+//! over all group elements; [`canonical_key`] exposes it for property
+//! tests. Under the trivial group an orbit is a `[D]`-class, so the merge
+//! keys it on the event-id projections themselves and derives
+//! descriptors only for the representatives it keeps.
 //!
 //! # Orbit-aware evaluation
 //!
@@ -54,8 +56,9 @@
 use crate::bitset::CompSet;
 use crate::enumerate::ProtocolUniverse;
 use crate::error::CoreError;
+use crate::isomorphism::projection_signature_into;
 use crate::universe::{CompId, Universe};
-use hpl_model::{Computation, Event, EventKind, MessageId, Permutation, ProcessSet};
+use hpl_model::{Computation, Event, EventKind, MessageId, Permutation, ProcessId, ProcessSet};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -279,7 +282,7 @@ impl Canonicalizer {
     }
 }
 
-/// The quotient bookkeeping of the merge: canonical key → representative,
+/// The quotient bookkeeping of the merge: orbit key → representative,
 /// plus per-representative multiplicities and descriptors.
 pub(crate) struct QuotientState {
     canon: Canonicalizer,
@@ -291,6 +294,7 @@ pub(crate) struct QuotientState {
     // merge hot loop allocates only for kept representatives
     scratch: Descs,
     send_info: HashMap<MessageId, (u16, u32)>,
+    projection: Vec<u64>,
 }
 
 /// What the merge decided about one explored computation.
@@ -319,6 +323,7 @@ impl QuotientState {
             descs: Vec::new(),
             scratch: Descs::new(),
             send_info: HashMap::new(),
+            projection: Vec::new(),
         }
     }
 
@@ -326,41 +331,52 @@ impl QuotientState {
     /// order. `Representative` instructs the caller to insert the
     /// computation (its id must equal the number of representatives seen
     /// before it).
+    ///
+    /// Under the trivial group the key is the per-process event-id
+    /// projection signature [`IsoIndex`](crate::IsoIndex) partitions by,
+    /// so only representatives pay for descriptors; larger groups key on
+    /// the canonical structural signature of every node.
     pub(crate) fn observe(
         &mut self,
         system_size: usize,
         events: &[Event],
         payload_of: &mut dyn FnMut(MessageId) -> u32,
     ) -> OrbitDecision {
-        descriptors_into(
-            system_size,
-            events,
-            payload_of,
-            &mut self.send_info,
-            &mut self.scratch,
-        );
-        let key = self.canon.key(&self.scratch);
+        let trivial = self.canon.elements.len() == 1;
+        let key = if trivial {
+            self.projection.clear();
+            projection_signature_into(
+                &mut self.projection,
+                events,
+                (0..system_size).map(ProcessId::new),
+            );
+            &self.projection[..]
+        } else {
+            self.describe(system_size, events, payload_of);
+            self.canon.key(&self.scratch)
+        };
         if let Some(&rep) = self.key_to_rep.get(key) {
             self.multiplicity[rep as usize] += 1;
             return OrbitDecision::Collapsed;
         }
         let rep = self.multiplicity.len() as u32;
         self.key_to_rep.insert(key.to_vec(), rep);
-        self.multiplicity.push(1);
-        // representatives (rare) take ownership of the scratch buffers
-        self.descs.push(std::mem::take(&mut self.scratch));
+        if trivial {
+            self.describe(system_size, events, payload_of);
+        }
+        self.push_representative(1);
         OrbitDecision::Representative
     }
 
     /// Adopts a representative decided by an earlier enumeration with
-    /// its final multiplicity, **without** canonicalizing it or entering
-    /// it in the key table. Sound during incremental extension
+    /// its final multiplicity, **without** keying it or entering it in
+    /// the key table. Sound during incremental extension
     /// ([`extend_sharded`](crate::extend_sharded)) because every
     /// computation explored past the frontier is strictly longer than
-    /// every adopted one, and canonical keys of different-length
-    /// computations differ — no new node can collapse onto an adopted
-    /// orbit, and its multiplicity is already final. The descriptors are
-    /// still computed: orbit-aware evaluation
+    /// every adopted one, and both orbit keys (projection and canonical)
+    /// of different-length computations differ — no new node can
+    /// collapse onto an adopted orbit, and its multiplicity is already
+    /// final. The descriptors are still computed: orbit-aware evaluation
     /// ([`OrbitIndex`](crate::OrbitIndex)) reads them for adopted and
     /// fresh representatives alike.
     ///
@@ -374,6 +390,17 @@ impl QuotientState {
         payload_of: &mut dyn FnMut(MessageId) -> u32,
         multiplicity: u64,
     ) {
+        self.describe(system_size, events, payload_of);
+        self.push_representative(multiplicity);
+    }
+
+    /// Derives the descriptors of `events` into the scratch buffers.
+    fn describe(
+        &mut self,
+        system_size: usize,
+        events: &[Event],
+        payload_of: &mut dyn FnMut(MessageId) -> u32,
+    ) {
         descriptors_into(
             system_size,
             events,
@@ -381,6 +408,11 @@ impl QuotientState {
             &mut self.send_info,
             &mut self.scratch,
         );
+    }
+
+    /// Records the scratch descriptors as the next representative's
+    /// (representatives are rare, so they take ownership of the buffers).
+    fn push_representative(&mut self, multiplicity: u64) {
         self.multiplicity.push(multiplicity);
         self.descs.push(std::mem::take(&mut self.scratch));
     }
@@ -873,7 +905,7 @@ mod tests {
             canonical_key(&x, &id_only, &mut |_| 0),
             canonical_key(&z, &id_only, &mut |_| 0)
         );
-        // … but interleavings still collapse ([D]-dedupe compatibility)
+        // … but interleavings still collapse (the [D]-collapse)
         assert_eq!(
             canonical_key(&x, &id_only, &mut |_| 0),
             canonical_key(&y, &id_only, &mut |_| 0)

@@ -132,7 +132,7 @@ impl Protocol for TokenBus {
 /// protocol onto itself, so the declared automorphism group is
 /// [`SymmetryGroup::fixing`]`(n, 0)` — order `(n−1)!`. This is the
 /// token-family workload for symmetry-quotient enumeration: on top of
-/// the interleaving dedupe, every computation's `(n−1)!` relabeled
+/// the interleaving collapse, every computation's `(n−1)!` relabeled
 /// variants collapse onto one orbit representative.
 #[derive(Clone, Copy, Debug)]
 pub struct BroadcastBus {
@@ -408,7 +408,7 @@ mod tests {
 
     #[test]
     fn broadcast_bus_group_is_closed_and_maximal() {
-        use hpl_core::{check_closure, enumerate_sharded, ShardConfig};
+        use hpl_core::{check_closure, enumerate_sharded, IsoIndex, ShardConfig};
         use hpl_model::SymmetryGroup;
 
         let star = BroadcastBus::new(4);
@@ -428,14 +428,18 @@ mod tests {
         assert!(check_closure(&pu, &reversal.elements()).is_err());
         assert!(check_closure(&pu, &bus.symmetry().elements_for(3)).is_ok());
 
-        // quotient enumeration of the star collapses relabelings: the
-        // reduction factor exceeds what interleaving dedupe alone yields
+        // quotient enumeration of the star collapses relabelings: it
+        // keeps fewer members than the exact universe has [D]-classes
+        // (what collapsing interleavings alone would keep)
         let limits = EnumerationLimits::depth(6);
         let quot =
             enumerate_sharded(&star, limits, &ShardConfig::with_shards(2).quotient()).unwrap();
-        let ded = enumerate_sharded(&star, limits, &ShardConfig::with_shards(2).dedupe()).unwrap();
+        let exact = enumerate(&star, limits).unwrap();
+        let d_classes = IsoIndex::new(exact.universe())
+            .classes(ProcessSet::full(4))
+            .class_count();
         assert_eq!(quot.stats.group_order, 6);
-        assert!(quot.stats.unique < ded.stats.unique);
+        assert!(quot.stats.unique < d_classes);
         let orbits = quot.orbits.expect("quotient attaches orbits");
         assert_eq!(orbits.full_size() as usize, quot.stats.explored);
     }

@@ -16,8 +16,8 @@
 //! | [`protocols`] (`hpl-protocols`) | token bus, two generals, failure detection, tracking, termination detection, token ring, snapshots, gossip, election |
 //! | [`runtime`] (`hpl-runtime`) | OS-thread runtime recording live executions |
 //!
-//! (`hpl-bench`, not re-exported here, holds the criterion suites and the
-//! `repro` paper-reproduction binary.)
+//! (`hpl-bench`, not re-exported here, holds the `repro`
+//! paper-reproduction binary and the workload fixtures `perfbench` shares.)
 //!
 //! Start with the [`prelude`], the `quickstart` example, or DESIGN.md;
 //! `docs/CONCORDANCE.md` maps every §2–§5 notion of the paper to its

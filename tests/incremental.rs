@@ -2,7 +2,7 @@
 //!
 //! `extend_sharded` grows a checkpointed universe in place; this suite
 //! certifies, over randomized protocols × shard counts {1, 2, 8} ×
-//! merge modes {full, dedupe, quotient} × batch sizes × multi-step
+//! merge modes {full, quotient} × batch sizes × multi-step
 //! growth schedules (e.g. 4 → 6 → 9), that at **every** horizon of a
 //! schedule the grown universe is byte-identical to from-scratch
 //! enumeration at that horizon: same computations in the same `CompId`
@@ -168,7 +168,6 @@ fn config_for(mode: usize, shards: usize, batch: usize) -> ShardConfig {
         .checkpoint();
     match mode {
         0 => base,
-        1 => base.dedupe(),
         _ => base.quotient(),
     }
 }
@@ -176,7 +175,6 @@ fn config_for(mode: usize, shards: usize, batch: usize) -> ShardConfig {
 fn mode_name(mode: usize) -> &'static str {
     match mode {
         0 => "full",
-        1 => "dedupe",
         _ => "quotient",
     }
 }
@@ -260,7 +258,7 @@ proptest! {
     fn grown_universes_are_byte_identical_to_scratch(
         seed in 0u64..1_000_000,
         shards_ix in 0usize..3,
-        mode in 0usize..3,
+        mode in 0usize..2,
         schedule_ix in 0usize..SCHEDULES.len(),
     ) {
         let shards = [1, 2, 8][shards_ix];
@@ -274,7 +272,7 @@ proptest! {
     fn growth_is_batch_size_invariant(
         seed in 1_000_000u64..2_000_000,
         batch in 1usize..16,
-        mode in 0usize..3,
+        mode in 0usize..2,
     ) {
         let protocol = ChaosGrow { n: 3, seed, max_len: 3 };
         check_growth_schedule(&protocol, 2, mode, batch, &[4, 6, 9]);

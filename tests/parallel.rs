@@ -7,15 +7,17 @@
 //! merge, same event-id bindings, same payload table.
 
 use hpl_core::{
-    enumerate, enumerate_sharded, EnumerationLimits, LocalStep, LocalView, ProtoAction, Protocol,
-    ProtocolUniverse, ShardConfig,
+    canonical_key, enumerate, enumerate_sharded, EnumerationLimits, LocalStep, LocalView,
+    ProtoAction, Protocol, ProtocolUniverse, ShardConfig,
 };
-use hpl_model::{ActionId, ProcessId};
+use hpl_model::{ActionId, Computation, Permutation, ProcessId};
 use hpl_protocols::failure::CrashableWorker;
 use hpl_protocols::gossip::PushGossip;
 use hpl_protocols::token_bus::TokenBus;
 use hpl_protocols::tracking::Toggler;
 use hpl_protocols::two_generals::TwoGenerals;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 /// Byte-identity: sizes, per-id computations, event bindings, payloads.
 fn assert_identical(sharded: &ProtocolUniverse, sequential: &ProtocolUniverse, label: &str) {
@@ -165,56 +167,92 @@ fn seeded_random_protocols_are_shard_deterministic() {
     }
 }
 
+// "Dedupe" below is the [D]-collapse: keep one computation per class of
+// `x [D] y`. Under the trivial group, `ShardConfig::quotient()` performs
+// it, keying each node on its event-id projection signature.
+
 #[test]
 fn dedupe_and_trivial_quotient_partition_identically() {
-    // dedupe keys on event-id projection signatures; the quotient keys
-    // on symmetry.rs structural signatures. Under the trivial group the
-    // two definitions of the [D]-partition must never drift — certified
-    // here on the irregular payload-rich chaos protocols, not just the
-    // hand-written ones.
+    // Under the trivial group the quotient keys on event-id projection
+    // signatures; nontrivial groups key on symmetry.rs structural
+    // signatures. The two definitions of the [D]-partition must never
+    // drift: the trivial-group quotient keeps exactly the first member
+    // (in `CompId` order) of each class the identity structural key
+    // induces on the exact universe, with the class size as its
+    // multiplicity — certified on the irregular payload-rich chaos
+    // protocols, not just the hand-written ones.
+    let identity = [Permutation::identity(3)];
     for seed in [7u64, 23, 4242] {
         let p = SeededChaos { n: 3, seed };
         let limits = EnumerationLimits {
             max_events: 6,
             max_computations: 1_000_000,
         };
-        let ded = enumerate_sharded(&p, limits, &ShardConfig::with_shards(2).dedupe())
+        let exact = enumerate(&p, limits).expect("within budget");
+        let mut class_of_key: HashMap<Vec<u64>, usize> = HashMap::new();
+        let mut classes: Vec<(&Computation, u64)> = Vec::new();
+        for (_, c) in exact.universe().iter() {
+            let key = canonical_key(c, &identity, &mut |m| exact.payload_of(m).unwrap_or(0));
+            match class_of_key.entry(key) {
+                Entry::Occupied(e) => classes[*e.get()].1 += 1,
+                Entry::Vacant(e) => {
+                    e.insert(classes.len());
+                    classes.push((c, 1));
+                }
+            }
+        }
+        let label = format!("trivial quotient chaos(seed={seed})");
+        let out = enumerate_sharded(&p, limits, &ShardConfig::with_shards(2).quotient())
             .expect("within budget");
-        let quo = enumerate_sharded(&p, limits, &ShardConfig::with_shards(2).quotient())
-            .expect("within budget");
-        assert_identical(
-            &quo.universe,
-            &ded.universe,
-            &format!("trivial-quotient vs dedupe chaos(seed={seed})"),
+        let orbits = out.orbits.as_ref().expect("quotient attaches orbits");
+        assert_eq!(orbits.group_order(), 1, "{label}");
+        assert_eq!(out.stats.explored, exact.universe().len(), "{label}");
+        assert_eq!(out.universe.universe().len(), classes.len(), "{label}");
+        for ((id, c), &(first, size)) in out.universe.universe().iter().zip(&classes) {
+            assert_eq!(c, first, "{label}: representative {id}");
+            assert_eq!(
+                orbits.multiplicity(id),
+                size,
+                "{label}: multiplicity of {id}"
+            );
+        }
+        assert_eq!(
+            out.universe.payload_table(),
+            exact.payload_table(),
+            "{label}: payload table"
         );
-        let orbits = quo.orbits.expect("quotient attaches orbits");
-        assert_eq!(orbits.group_order(), 1);
-        assert_eq!(orbits.full_size() as usize, ded.stats.explored);
     }
 }
 
 #[test]
 fn dedupe_is_shard_deterministic_too() {
-    // with dedupe on, the canonical universe must still be independent of
-    // the shard count (the merge is what defines the order)
+    // with the trivial-group quotient on, the collapsed universe and its
+    // multiplicities must still be independent of the shard count (the
+    // merge is what defines the order)
     for seed in [7u64, 23, 4242] {
         let p = SeededChaos { n: 3, seed };
         let limits = EnumerationLimits {
             max_events: 6,
             max_computations: 1_000_000,
         };
-        let reference = enumerate_sharded(&p, limits, &ShardConfig::with_shards(1).dedupe())
+        let reference = enumerate_sharded(&p, limits, &ShardConfig::with_shards(1).quotient())
             .expect("within budget");
+        let ref_orbits = reference.orbits.as_ref().expect("quotient attaches orbits");
         for shards in [2usize, 8] {
-            let out = enumerate_sharded(&p, limits, &ShardConfig::with_shards(shards).dedupe())
+            let label = format!("trivial quotient chaos(seed={seed}) @ {shards} shards");
+            let out = enumerate_sharded(&p, limits, &ShardConfig::with_shards(shards).quotient())
                 .expect("within budget");
-            assert_identical(
-                &out.universe,
-                &reference.universe,
-                &format!("dedupe chaos(seed={seed}) @ {shards} shards"),
-            );
-            assert_eq!(out.stats.explored, reference.stats.explored);
-            assert_eq!(out.stats.unique, reference.stats.unique);
+            assert_identical(&out.universe, &reference.universe, &label);
+            assert_eq!(out.stats.explored, reference.stats.explored, "{label}");
+            assert_eq!(out.stats.unique, reference.stats.unique, "{label}");
+            let orbits = out.orbits.as_ref().expect("quotient attaches orbits");
+            for (id, _) in reference.universe.universe().iter() {
+                assert_eq!(
+                    orbits.multiplicity(id),
+                    ref_orbits.multiplicity(id),
+                    "{label}: multiplicity of {id}"
+                );
+            }
         }
     }
 }

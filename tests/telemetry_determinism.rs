@@ -39,7 +39,7 @@ fn universes_are_byte_identical_with_telemetry_on() {
     let protocol = TokenBus::with_chatter(3, 1);
     let limits = EnumerationLimits::depth(9);
     for shards in [1usize, 2, 8] {
-        let cfg = ShardConfig::with_shards(shards).dedupe();
+        let cfg = ShardConfig::with_shards(shards).quotient();
         let label = format!("token_bus shards={shards}");
 
         hpl_telemetry::reset();
