@@ -1,9 +1,9 @@
 //! The lock-graph checker over annotated lock sites.
 //!
 //! The workspace's concurrency is hand-rolled (a credit-scheme reorder
-//! gate, a `JobSlot`, leader/follower admission, worker loops over
-//! mutex-wrapped receivers), so no lock-ordering discipline is enforced
-//! by a library. Instead, every acquisition site carries an annotation:
+//! gate, enumeration workers pulling tasks from a mutex-wrapped
+//! receiver, leader/follower admission, the telemetry recorder), so no
+//! lock-ordering discipline is enforced by a library. Instead, every acquisition site carries an annotation:
 //!
 //! * `// analyze:acquire(name)` — a lock named `name` is taken here and
 //!   held until `analyze:release(name)` or the end of the function.

@@ -391,9 +391,9 @@ fn query_workloads() -> Result<Vec<QueryWorkload>, Box<dyn std::error::Error>> {
 }
 
 /// Starts a service and registers every workload under its name.
-fn start_query_service(workloads: &[QueryWorkload], workers: usize) -> hpl_runtime::QueryService {
+fn start_query_service(workloads: &[QueryWorkload]) -> hpl_runtime::QueryService {
     use hpl_core::QuotientPolicy;
-    let service = hpl_runtime::QueryService::start(workers);
+    let service = hpl_runtime::QueryService::start(1);
     for w in workloads {
         match &w.orbits {
             Some(o) => service.register_quotient(
@@ -418,7 +418,7 @@ fn serve_mode() -> Result<(), Box<dyn std::error::Error>> {
     use std::io::BufRead as _;
 
     let workloads = query_workloads()?;
-    let service = start_query_service(&workloads, 2);
+    let service = start_query_service(&workloads);
     println!("=== hpl knowledge-query service ===");
     for w in &workloads {
         let snap = service.snapshot(w.name).expect("registered workload");
@@ -526,7 +526,7 @@ fn trace_mode(scenario: &str, chrome_path: &str) -> Result<(), Box<dyn std::erro
     }
     if want("query") {
         let workloads = query_workloads()?;
-        let service = start_query_service(&workloads, 2);
+        let service = start_query_service(&workloads);
         let mut served = 0usize;
         for w in &workloads {
             let session = service.session(w.name)?;

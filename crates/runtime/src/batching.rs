@@ -2,8 +2,8 @@
 //!
 //! When several clients ask for the same `(generation, formula)` while
 //! the first request is still being evaluated, only the **leader** (the
-//! first arrival) submits work to the pool; every later arrival becomes
-//! a **follower** holding a one-shot receiver, and the leader broadcasts
+//! first arrival) evaluates; every later arrival becomes a
+//! **follower** holding a one-shot receiver, and the leader broadcasts
 //! its outcome to all of them on completion. Combined with the
 //! cross-query [`SatCache`](hpl_core::SatCache) (which serves repeats
 //! *after* completion) this bounds the evaluation cost of a thundering
@@ -18,16 +18,17 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use hpl_core::Formula;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The outcome of admitting a request.
 #[derive(Debug)]
-pub enum Ticket<T> {
+enum Ticket<T> {
     /// First in-flight arrival: evaluate, then
     /// [`settle`](Admission::settle) with the outcome.
     Leader,
     /// A duplicate of an in-flight request: block on the receiver for
-    /// the leader's broadcast. A disconnect (the leader died without
+    /// the leader's broadcast. A disconnect (the leader unwound without
     /// settling) means the follower must evaluate for itself.
     Follower(Receiver<T>),
 }
@@ -57,10 +58,43 @@ impl<T: Clone> Admission<T> {
         }
     }
 
+    /// Serves a request for `f` over `generation` and returns its
+    /// outcome, with `true` when it was coalesced. The first in-flight
+    /// arrival leads: it runs `evaluate` and broadcasts the outcome to
+    /// every duplicate that arrived meanwhile, which blocks for it
+    /// instead of evaluating.
+    ///
+    /// If the leader's `evaluate` unwinds, its entry leaves the table
+    /// before the unwind goes on: each waiting follower then runs its
+    /// own `evaluate`, and the next identical request leads.
+    pub fn serve(&self, generation: u64, f: &Formula, evaluate: impl FnOnce() -> T) -> (T, bool) {
+        match self.admit(generation, f) {
+            // nothing observes this request's state between the catch
+            // and the resumed unwind, so asserting unwind safety is sound
+            Ticket::Leader => match catch_unwind(AssertUnwindSafe(evaluate)) {
+                Ok(outcome) => {
+                    self.settle(generation, f, &outcome);
+                    (outcome, false)
+                }
+                Err(panic) => {
+                    // dropping the followers' senders disconnects them
+                    // analyze:acquire(admission.inflight) analyze:release(admission.inflight)
+                    self.inflight.lock().remove(&(generation, f.clone()));
+                    resume_unwind(panic)
+                }
+            },
+            // analyze:blocking(admission.broadcast)
+            Ticket::Follower(rx) => match rx.recv() {
+                Ok(outcome) => (outcome, true),
+                Err(_) => (evaluate(), false),
+            },
+        }
+    }
+
     /// Admits a request for `f` over `generation`: the first in-flight
     /// arrival leads, duplicates follow.
     #[must_use]
-    pub fn admit(&self, generation: u64, f: &Formula) -> Ticket<T> {
+    fn admit(&self, generation: u64, f: &Formula) -> Ticket<T> {
         // held to function end; nothing under it blocks (the follower
         // channel is created, not received on)
         // analyze:acquire(admission.inflight)
@@ -82,10 +116,8 @@ impl<T: Clone> Admission<T> {
 
     /// Settles a led request: removes the in-flight entry and
     /// broadcasts `outcome` to every follower that joined while it was
-    /// evaluating. The leader **must** call this on every path (success
-    /// or error) — an unsettled entry would leave followers blocked
-    /// until their receivers disconnect.
-    pub fn settle(&self, generation: u64, f: &Formula, outcome: &T) {
+    /// evaluating.
+    fn settle(&self, generation: u64, f: &Formula, outcome: &T) {
         // the map guard is a statement temporary — dropped before the
         // broadcast sends below
         // analyze:acquire(admission.inflight) analyze:release(admission.inflight)
@@ -122,6 +154,7 @@ impl<T: Clone> Admission<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn duplicate_requests_coalesce_until_settled() {
@@ -142,5 +175,31 @@ mod tests {
         assert!(matches!(adm.admit(7, &f), Ticket::Leader));
         assert_eq!(adm.coalesced(), 1);
         assert_eq!(adm.led(), 3);
+    }
+
+    #[test]
+    fn a_leader_that_panics_strands_no_follower() {
+        let adm: Arc<Admission<u32>> = Arc::new(Admission::new());
+        let f = Formula::True;
+        let mut follower = None;
+        let led = catch_unwind(AssertUnwindSafe(|| {
+            adm.serve(7, &f, || {
+                let (shared, g) = (Arc::clone(&adm), f.clone());
+                follower = Some(std::thread::spawn(move || shared.serve(7, &g, || 42)));
+                // the follower has joined once admission counts it
+                while adm.coalesced() == 0 {
+                    std::thread::yield_now();
+                }
+                panic!("the leader's evaluation fails");
+            })
+        }));
+        assert!(led.is_err());
+        // checked before joining: an entry left in flight would block
+        // the (detached) follower forever, not this test
+        assert_eq!(adm.in_flight(), 0);
+        let served = follower.expect("spawned").join().expect("follower");
+        assert_eq!(served, (42, false), "the follower evaluates for itself");
+        assert_eq!(adm.serve(7, &f, || 5), (5, false), "the next one leads");
+        assert_eq!((adm.led(), adm.coalesced()), (2, 1));
     }
 }

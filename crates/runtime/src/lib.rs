@@ -13,8 +13,8 @@
 //!    generation-keyed immutable universe snapshots, a formula-text
 //!    session API ([`Session`]), a query planner with constant folding,
 //!    common-subformula dedup and per-subtree quotient selection
-//!    ([`planner`]), in-flight request coalescing ([`batching`]), and a
-//!    worker pool evaluating concurrently through shared class/sat-set
+//!    ([`planner`]), in-flight request coalescing ([`batching`]), and
+//!    evaluation on each asking thread through shared class/sat-set
 //!    caches ([`service`]).
 //!
 //! ## Recording discipline
@@ -60,7 +60,7 @@ pub mod planner;
 pub mod service;
 pub mod session;
 
-pub use batching::{Admission, Ticket};
+pub use batching::Admission;
 pub use planner::{execute, fold, plan, PlanStats, PlanStep, QueryPlan, SubtreeMode};
 pub use service::{QueryError, QueryService, Snapshot};
 pub use session::{QueryResponse, Session};

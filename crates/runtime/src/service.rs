@@ -2,12 +2,12 @@
 //!
 //! A [`QueryService`] is the long-lived server shape of the calculus:
 //! it owns immutable, generation-keyed universe **snapshots** (one per
-//! registered scenario) and a pool of worker threads that evaluate
-//! parsed, planned epistemic queries against them concurrently. Per
-//! snapshot it shares
+//! registered scenario), against which parsed, planned epistemic
+//! queries evaluate on the threads that ask them. Per snapshot it
+//! shares
 //!
 //! * a [`ClassCache`] — `[P]`-partitions, reused by every evaluator a
-//!   worker spins up,
+//!   query spins up,
 //! * a [`SatCache`] — final satisfaction sets keyed
 //!   `(generation, formula)`, so repeated queries cost a lookup, and
 //! * an [`Admission`] table — identical requests *in flight* coalesce
@@ -23,7 +23,6 @@
 use crate::batching::Admission;
 use crate::planner::{self, QueryPlan};
 use crate::session::Session;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use hpl_core::isomorphism::ClassCache;
 use hpl_core::parser::MAX_FORMULA_DEPTH;
 use hpl_core::{
@@ -35,8 +34,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// What a query ultimately resolves to: the satisfaction set of the
 /// folded root formula, or a typed failure. `Arc`-wrapped so one
@@ -59,7 +56,7 @@ pub enum QueryError {
     /// The quotient snapshot rejected the query as out of the symmetry
     /// contract ([`QuotientPolicy::Reject`]).
     Unsound(String),
-    /// The service's worker pool has shut down.
+    /// The service has been dropped.
     ServiceStopped,
     /// A [`QueryService::reregister`] growth map did not connect the
     /// currently registered snapshot to the offered universe.
@@ -189,8 +186,8 @@ impl Snapshot {
     }
 
     /// Evaluates a plan on a fresh evaluator wired to this snapshot's
-    /// shared caches. This is what pool workers run; it is also the
-    /// sequential reference path (same code, one thread).
+    /// shared caches, on the calling thread: what every
+    /// [`Session::query_formula`] runs.
     pub(crate) fn evaluate(&self, plan: &QueryPlan) -> Outcome {
         let mut eval = match &self.orbits {
             Some(o) => {
@@ -205,27 +202,11 @@ impl Snapshot {
     }
 }
 
-/// One unit of pool work: a planned query against a snapshot, with a
-/// one-shot reply channel back to the session that submitted it.
-#[derive(Debug)]
-pub(crate) struct Job {
-    pub(crate) snapshot: Arc<Snapshot>,
-    pub(crate) plan: QueryPlan,
-    pub(crate) reply: Sender<Outcome>,
-    /// Submission instant, captured only while telemetry is enabled —
-    /// the worker turns it into queue-wait time.
-    pub(crate) submitted: Option<Instant>,
-}
-
-/// The single shared handle to the pool's job channel. Sessions go
-/// through this slot instead of holding `Sender` clones, so emptying
-/// it on shutdown is enough to disconnect the channel and stop the
-/// workers even while sessions are still alive.
-pub(crate) type JobSlot = Arc<Mutex<Option<Sender<Job>>>>;
-
-/// The persistent knowledge-query service: registered snapshots plus a
-/// worker pool. Dropping the service shuts the pool down; sessions
-/// still holding it then get [`QueryError::ServiceStopped`].
+/// The persistent knowledge-query service: registered snapshots, each
+/// queried on the threads that ask. Dropping the service stops it:
+/// sessions still holding a snapshot then get
+/// [`QueryError::ServiceStopped`], while a query already evaluating
+/// finishes against its snapshot.
 ///
 /// # Example
 ///
@@ -253,30 +234,22 @@ pub(crate) type JobSlot = Arc<Mutex<Option<Sender<Job>>>>;
 #[derive(Debug)]
 pub struct QueryService {
     snapshots: Mutex<HashMap<String, Arc<Snapshot>>>,
-    jobs: JobSlot,
-    workers: Vec<JoinHandle<()>>,
+    /// Raised by `Drop`; every session holds a clone.
+    stopped: Arc<AtomicBool>,
     sat_cache_capacity: AtomicUsize,
 }
 
 impl QueryService {
-    /// Starts a service with `workers` pool threads (at least one).
+    /// Starts a service with no scenarios registered.
+    ///
+    /// `_workers` is unused: each query evaluates on the thread that
+    /// asks it, so there are as many concurrent evaluations as client
+    /// threads.
     #[must_use]
-    pub fn start(workers: usize) -> Self {
-        let (tx, rx) = unbounded::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..workers.max(1))
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                std::thread::Builder::new()
-                    .name(format!("hpl-query-{i}"))
-                    .spawn(move || worker_loop(i, &rx))
-                    .expect("spawn query worker")
-            })
-            .collect();
+    pub fn start(_workers: usize) -> Self {
         QueryService {
             snapshots: Mutex::new(HashMap::new()),
-            jobs: Arc::new(Mutex::new(Some(tx))),
-            workers,
+            stopped: Arc::new(AtomicBool::new(false)),
             sat_cache_capacity: AtomicUsize::new(DEFAULT_SAT_CACHE_CAPACITY),
         }
     }
@@ -515,7 +488,7 @@ impl QueryService {
     /// # Errors
     ///
     /// [`QueryError::UnknownScenario`] if nothing is registered under
-    /// `scenario`, [`QueryError::ServiceStopped`] after shutdown.
+    /// `scenario`.
     pub fn session(&self, scenario: &str) -> Result<Session, QueryError> {
         let snapshot = self
             .snapshots
@@ -523,11 +496,7 @@ impl QueryService {
             .get(scenario)
             .cloned()
             .ok_or_else(|| QueryError::UnknownScenario(scenario.to_owned()))?;
-        // analyze:acquire(service.job_slot) analyze:release(service.job_slot)
-        if self.jobs.lock().is_none() {
-            return Err(QueryError::ServiceStopped);
-        }
-        Ok(Session::new(snapshot, Arc::clone(&self.jobs)))
+        Ok(Session::new(snapshot, Arc::clone(&self.stopped)))
     }
 
     /// The snapshot registered under `scenario`, if any (diagnostics
@@ -548,56 +517,7 @@ impl QueryService {
 
 impl Drop for QueryService {
     fn drop(&mut self) {
-        // the slot holds the channel's only sender: emptying it
-        // disconnects the channel, so workers drain the already-queued
-        // jobs and exit — even while sessions are still alive (they
-        // find the slot empty and fail fast with `ServiceStopped`)
-        // analyze:acquire(service.job_slot) analyze:release(service.job_slot)
-        drop(self.jobs.lock().take());
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-/// Pool worker: pull a job, evaluate it against its snapshot, reply.
-/// The shared receiver sits behind a mutex (the vendored channel is
-/// single-consumer); evaluation itself runs outside the lock.
-fn worker_loop(index: usize, rx: &Mutex<Receiver<Job>>) {
-    // per-worker busy-time counter (utilization = busy / wall), plus
-    // the pool-wide totals; resolved once per worker
-    let busy = hpl_telemetry::global().counter(&format!("service.worker_{index}_busy_ns"));
-    let busy_total = hpl_telemetry::counter("service.worker_busy_ns");
-    let jobs_total = hpl_telemetry::counter("service.jobs");
-    loop {
-        let job = {
-            // analyze:acquire(service.job_rx)
-            let guard = rx.lock();
-            // analyze:blocking(service.jobs) analyze:allow(lock-across-blocking) the job-rx mutex IS the consume token for the single-consumer receiver; no other lock is ever taken under it and every worker blocks here identically
-            guard.recv()
-            // analyze:release(service.job_rx)
-        };
-        let Ok(job) = job else {
-            return; // channel closed: the service dropped its sender
-        };
-        if let Some(submitted) = job.submitted {
-            #[allow(clippy::cast_possible_truncation)]
-            hpl_telemetry::record("service.queue_wait", submitted.elapsed().as_nanos() as u64);
-        }
-        // analyze:allow(wall-clock) evaluate-latency telemetry, gated on the recorder
-        let started = hpl_telemetry::enabled().then(Instant::now);
-        let outcome = {
-            let _evaluate = hpl_telemetry::span("service.evaluate");
-            job.snapshot.evaluate(&job.plan)
-        };
-        if let Some(t) = started {
-            #[allow(clippy::cast_possible_truncation)]
-            let ns = t.elapsed().as_nanos() as u64;
-            busy.add(ns);
-            busy_total.add(ns);
-            jobs_total.add(1);
-        }
-        // a session that gave up waiting is fine
-        let _ = job.reply.send(outcome);
+        // the flag publishes no other data
+        self.stopped.store(true, Ordering::Relaxed);
     }
 }

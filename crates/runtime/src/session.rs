@@ -4,16 +4,15 @@
 //! **text**: each query is parsed against the snapshot's
 //! interpretation ([`hpl_core::parser`]), planned
 //! ([`crate::planner`]), admitted through the coalescing layer
-//! ([`crate::batching`]), and evaluated on the service's worker pool.
-//! The response carries the satisfaction set plus everything the bench
-//! report wants to know about how the query was served.
+//! ([`crate::batching`]), and evaluated on the calling thread.
+//! The response carries the satisfaction set plus everything a client
+//! wants to know about how the query was served.
 
-use crate::batching::Ticket;
 use crate::planner::PlanStats;
-use crate::service::{Job, JobSlot, Outcome, QueryError, Snapshot};
-use crossbeam::channel::unbounded;
+use crate::service::{QueryError, Snapshot};
 use hpl_core::parser::MAX_FORMULA_DEPTH;
 use hpl_core::{parse, CompSet, Formula};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -22,7 +21,8 @@ use std::time::{Duration, Instant};
 #[derive(Debug)]
 pub struct Session {
     snapshot: Arc<Snapshot>,
-    jobs: JobSlot,
+    /// The service's stop flag, raised when it drops.
+    stopped: Arc<AtomicBool>,
 }
 
 /// A served query: the satisfaction set of the folded root formula
@@ -51,8 +51,8 @@ pub struct QueryResponse {
 }
 
 impl Session {
-    pub(crate) fn new(snapshot: Arc<Snapshot>, jobs: JobSlot) -> Self {
-        Session { snapshot, jobs }
+    pub(crate) fn new(snapshot: Arc<Snapshot>, stopped: Arc<AtomicBool>) -> Self {
+        Session { snapshot, stopped }
     }
 
     /// The scenario this session is bound to.
@@ -85,6 +85,10 @@ impl Session {
     }
 
     /// Parses and serves a formula, e.g. `"K{p0} token-at-p0"`.
+    ///
+    /// The query is parsed, planned and evaluated on the calling
+    /// thread. A formula nested to [`MAX_FORMULA_DEPTH`] needs no more
+    /// stack than the 2 MiB a thread spawned by `std` gets by default.
     ///
     /// # Errors
     ///
@@ -122,23 +126,13 @@ impl Session {
         };
         let generation = self.snapshot.generation;
         let _eval = hpl_telemetry::span("query.eval");
-        let (outcome, coalesced) = match self.snapshot.admission.admit(generation, plan.root()) {
-            Ticket::Leader => {
-                let outcome = self.submit(&plan);
-                // settle on *every* path — an unsettled entry would
-                // strand followers until disconnect
-                self.snapshot
-                    .admission
-                    .settle(generation, plan.root(), &outcome);
-                (outcome, false)
-            }
-            // analyze:blocking(admission.broadcast)
-            Ticket::Follower(rx) => match rx.recv() {
-                Ok(outcome) => (outcome, true),
-                // the leader vanished without settling: serve ourselves
-                Err(_) => (self.submit(&plan), false),
-            },
-        };
+        if self.stopped.load(Ordering::Relaxed) {
+            return Err(QueryError::ServiceStopped);
+        }
+        let (outcome, coalesced) = self
+            .snapshot
+            .admission
+            .serve(generation, plan.root(), || self.snapshot.evaluate(&plan));
         drop(_eval);
         let _respond = hpl_telemetry::span("query.respond");
         if coalesced {
@@ -187,37 +181,6 @@ impl Session {
         gauge("hpl_generation", self.snapshot.generation);
         out.push_str(&hpl_telemetry::snapshot().prometheus_text());
         out
-    }
-
-    /// Ships a plan to the worker pool and blocks for the outcome.
-    /// The sender lives in the service's shared slot — never in the
-    /// session — so a dropped service means an empty slot here (fail
-    /// fast), not a channel held open past the pool's shutdown.
-    fn submit(&self, plan: &crate::planner::QueryPlan) -> Outcome {
-        let (tx, rx) = unbounded();
-        let sent = {
-            // analyze:acquire(service.job_slot)
-            let guard = self.jobs.lock();
-            match guard.as_ref() {
-                Some(jobs) => jobs
-                    .send(Job {
-                        snapshot: Arc::clone(&self.snapshot),
-                        plan: plan.clone(),
-                        reply: tx,
-                        // analyze:allow(wall-clock) queue-wait telemetry, gated on the recorder
-                        submitted: hpl_telemetry::enabled().then(Instant::now),
-                    })
-                    .is_ok(),
-                None => false,
-            }
-            // the slot guard drops with the block — before we wait
-            // analyze:release(service.job_slot)
-        };
-        if !sent {
-            return Err(QueryError::ServiceStopped);
-        }
-        // analyze:blocking(service.reply)
-        rx.recv().map_err(|_| QueryError::ServiceStopped)?
     }
 }
 

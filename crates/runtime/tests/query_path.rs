@@ -12,8 +12,8 @@ use hpl_protocols::token_bus::{token_atoms, BroadcastBus, TokenBus};
 use hpl_runtime::{QueryError, QueryService};
 use std::sync::Arc;
 
-/// A service of one pool worker with a plain token bus (`bus`) and a
-/// quotient broadcast star under `Expand` (`star`, group `fixing(3, 0)`).
+/// A service with a plain token bus (`bus`) and a quotient broadcast
+/// star under `Expand` (`star`, group `fixing(3, 0)`).
 fn service() -> QueryService {
     let service = QueryService::start(1);
     let mut interp = Interpretation::new();
@@ -73,7 +73,7 @@ fn nesting_past_the_limit_is_a_typed_error_and_the_service_keeps_answering() {
     let chain = |k: usize| format!("{}token-at-p0", "K{p1} ".repeat(k));
 
     // nested K{p1} over a moved singleton is out of the quotient
-    // contract: the pool worker answers it on the orbit-expanded frame,
+    // contract: the service answers it on the orbit-expanded frame,
     // and K{p1} K{p1} b is K{p1} b
     let once = session.query(&chain(1)).expect("answered");
     let at_limit = session.query(&chain(MAX_FORMULA_DEPTH)).expect("answered");
