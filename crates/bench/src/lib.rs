@@ -1,7 +1,10 @@
-//! Shared fixtures for the `repro` binary and the `perfbench` benchmark.
+//! The paper's claims table and the fixtures `repro` and `perfbench`
+//! share.
 //!
-//! Centralizes the workload generators so that the benchmark and the
-//! reproduction report measure the same artifacts.
+//! [`claims::CLAIMS`] checks every result of the paper: `repro` prints
+//! its rows at paper scale, and the root package's tests run them at a
+//! small preset. The workload generators live here so that the
+//! benchmark, the report and the tests measure the same artifacts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,6 +14,8 @@ use hpl_model::{ActionId, Computation, ComputationBuilder, MessageId, ProcessId}
 use hpl_protocols::token_bus::TokenBus;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+
+pub mod claims;
 
 /// The process's peak resident set size in kilobytes (`VmHWM` from
 /// `/proc/self/status`), or `None` where the proc filesystem is

@@ -225,7 +225,8 @@ fn entry_cost(sat: &CompSet) -> usize {
 }
 
 /// Hit/miss/occupancy counters of a [`SatCache`], for the query
-/// service's bench report and for tests.
+/// service's metrics snapshot, the benchmark's `sat_cache.*` metrics and
+/// tests.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SatCacheStats {
     /// Lookups answered from the cache.

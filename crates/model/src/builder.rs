@@ -373,6 +373,38 @@ impl ScenarioPool {
     }
 }
 
+/// A reproducible random computation over `n` processes with `steps`
+/// events (mixed sends, receives and internal events), for the crate's
+/// property tests.
+#[cfg(test)]
+pub(crate) fn random_computation(n: usize, steps: usize, seed: u64) -> Computation {
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = ComputationBuilder::new(n);
+    let mut in_flight: Vec<(ProcessId, MessageId)> = Vec::new();
+    for _ in 0..steps {
+        match rng.random_range(0..3) {
+            0 => {
+                let from = ProcessId::new(rng.random_range(0..n));
+                let to = ProcessId::new(rng.random_range(0..n));
+                let m = b.send(from, to).expect("valid send");
+                in_flight.push((to, m));
+            }
+            1 if !in_flight.is_empty() => {
+                let k = rng.random_range(0..in_flight.len());
+                let (to, m) = in_flight.remove(k);
+                b.receive(to, m).expect("valid receive");
+            }
+            _ => {
+                b.internal(ProcessId::new(rng.random_range(0..n)))
+                    .expect("valid internal");
+            }
+        }
+    }
+    b.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -256,7 +256,7 @@ impl fmt::Display for VectorClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::ComputationBuilder;
+    use crate::builder::{random_computation, ComputationBuilder};
     use proptest::prelude::*;
 
     fn pid(i: usize) -> ProcessId {
@@ -341,35 +341,6 @@ mod tests {
         assert_eq!(clocks[1].to_string(), "⟨1,1,0⟩");
         assert_eq!(clocks[2].to_string(), "⟨1,2,0⟩");
         assert_eq!(clocks[3].to_string(), "⟨1,2,1⟩");
-    }
-
-    /// Generates a random valid computation over `n` processes.
-    fn random_computation(n: usize, steps: usize, seed: u64) -> Computation {
-        use rand::rngs::StdRng;
-        use rand::{RngExt, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut b = ComputationBuilder::new(n);
-        let mut in_flight: Vec<(ProcessId, MessageId)> = Vec::new();
-        for _ in 0..steps {
-            let choice = rng.random_range(0..3);
-            match choice {
-                0 => {
-                    let from = pid(rng.random_range(0..n));
-                    let to = pid(rng.random_range(0..n));
-                    let m = b.send(from, to).unwrap();
-                    in_flight.push((to, m));
-                }
-                1 if !in_flight.is_empty() => {
-                    let k = rng.random_range(0..in_flight.len());
-                    let (to, m) = in_flight.remove(k);
-                    b.receive(to, m).unwrap();
-                }
-                _ => {
-                    b.internal(pid(rng.random_range(0..n))).unwrap();
-                }
-            }
-        }
-        b.finish()
     }
 
     proptest! {

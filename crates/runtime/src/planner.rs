@@ -51,8 +51,9 @@ pub struct PlanStep {
     pub mode: SubtreeMode,
 }
 
-/// Summary counters of what planning did, reported per query by the
-/// service and aggregated into the bench report.
+/// Summary counters of what planning did, reported per query in
+/// [`QueryResponse::plan`](crate::QueryResponse::plan), printed by
+/// `repro serve` and summed into the benchmark's `planner.*` metrics.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PlanStats {
     /// Nodes in the formula as submitted.

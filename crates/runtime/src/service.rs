@@ -499,8 +499,8 @@ impl QueryService {
         Ok(Session::new(snapshot, Arc::clone(&self.stopped)))
     }
 
-    /// The snapshot registered under `scenario`, if any (diagnostics
-    /// and bench reporting).
+    /// The snapshot registered under `scenario`, if any (diagnostics,
+    /// such as the universe size `repro serve` prints).
     #[must_use]
     pub fn snapshot(&self, scenario: &str) -> Option<Arc<Snapshot>> {
         self.snapshots.lock().get(scenario).cloned()

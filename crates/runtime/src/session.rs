@@ -46,7 +46,9 @@ pub struct QueryResponse {
     pub coalesced: bool,
     /// What the planner did (folding / dedup / quotient selection).
     pub plan: PlanStats,
-    /// End-to-end latency as observed by the client.
+    /// End-to-end latency as observed by the client: from the call of
+    /// [`Session::query`] (parsing included) or
+    /// [`Session::query_formula`] to the response.
     pub elapsed: Duration,
 }
 
@@ -95,11 +97,14 @@ impl Session {
     /// [`QueryError::Parse`] on bad syntax or unknown atoms;
     /// otherwise as [`Session::query_formula`].
     pub fn query(&self, text: &str) -> Result<QueryResponse, QueryError> {
+        let _query = hpl_telemetry::span("query");
+        // analyze:allow(wall-clock) query-latency telemetry; never affects results
+        let start = Instant::now();
         let f = {
             let _parse = hpl_telemetry::span("query.parse");
             parse(text, &self.snapshot.interp).map_err(|e| QueryError::Parse(e.to_string()))?
         };
-        self.query_formula(&f)
+        self.serve(&f, start)
     }
 
     /// Serves an already-constructed formula.
@@ -114,12 +119,18 @@ impl Session {
     /// [`QueryError::ServiceStopped`] after the service dropped.
     pub fn query_formula(&self, f: &Formula) -> Result<QueryResponse, QueryError> {
         let _query = hpl_telemetry::span("query");
+        // analyze:allow(wall-clock) query-latency telemetry; never affects results
+        let start = Instant::now();
+        self.serve(f, start)
+    }
+
+    /// Plans, admits and evaluates `f` inside the caller's `query` span,
+    /// for a request the client made at `start`.
+    fn serve(&self, f: &Formula, start: Instant) -> Result<QueryResponse, QueryError> {
         hpl_telemetry::counter_add("query.requests", 1);
         if nests_too_deep(f) {
             return Err(QueryError::TooDeep);
         }
-        // analyze:allow(wall-clock) query-latency telemetry; never affects results
-        let start = Instant::now();
         let plan = {
             let _plan = hpl_telemetry::span("query.plan");
             self.snapshot.plan(f)

@@ -1,5 +1,5 @@
-//! Exporter-facing data types shared by the real and no-op builds:
-//! snapshots, span events, and the Prometheus / Chrome-trace renderers.
+//! Exporter-facing data types: snapshots, span events, and the
+//! Prometheus / Chrome-trace renderers.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

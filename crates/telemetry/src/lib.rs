@@ -3,14 +3,10 @@
 //! One [`Recorder`] holds every metric the engine emits — named atomic
 //! **counters**, log-bucketed **histograms** (p50/p95/p99 with no
 //! allocation on the record path), and nestable thread-aware **spans**
-//! — behind two switches:
-//!
-//! * the `enabled` **cargo feature** (on by default): with it off the
-//!   whole crate is inlined no-ops and every instrumentation site in
-//!   the workspace compiles away;
-//! * a **runtime flag** ([`set_enabled`]): with the feature on but the
-//!   flag off, each call site costs one relaxed atomic load — a few
-//!   nanoseconds — so instrumented code can stay on the hot path.
+//! — behind a **runtime flag** ([`set_enabled`]): with the flag off,
+//! each call site costs one relaxed atomic load — a few nanoseconds —
+//! so instrumented code can stay on the hot path. A second flag
+//! ([`set_tracing`]) also keeps every finished span as a [`SpanEvent`].
 //!
 //! Telemetry only *observes*: it reads clocks and bumps atomics, never
 //! influences scheduling or iteration order, so enumeration output is
@@ -30,8 +26,8 @@
 //! * [`TelemetrySnapshot::prometheus_text`] — Prometheus-style text
 //!   exposition (used by `Session::metrics_snapshot` and the `stats`
 //!   command of `repro serve`);
-//! * [`snapshot`] — a plain data snapshot the bench report folds into
-//!   its per-scenario `telemetry` blocks (schema v7).
+//! * [`snapshot`] — a plain data copy of every counter and histogram,
+//!   which tests read by name.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,15 +36,9 @@ mod export;
 
 pub use export::{chrome_trace_json, HistogramSnapshot, SpanEvent, TelemetrySnapshot};
 
-#[cfg(feature = "enabled")]
-#[path = "real.rs"]
-mod imp;
+mod real;
 
-#[cfg(not(feature = "enabled"))]
-#[path = "noop.rs"]
-mod imp;
-
-pub use imp::{
+pub use real::{
     chrome_trace, counter, counter_add, enabled, global, histogram, record, reset, set_enabled,
     set_tracing, snapshot, span, tracing, Counter, Hist, Recorder, SpanGuard,
 };

@@ -1,4 +1,4 @@
-//! The live implementation (cargo feature `enabled`, the default).
+//! The recorder and its process-global instance.
 //!
 //! Counters and histograms are plain atomics handed out as cheap
 //! cloneable handles; the registry lock is taken only on first

@@ -4,8 +4,6 @@
 //! tests; within the process they run under one `#[test]` to keep the
 //! global span buffer deterministic.
 
-#![cfg(feature = "enabled")]
-
 use hpl_telemetry as tele;
 
 #[test]

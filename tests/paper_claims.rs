@@ -1,12 +1,27 @@
 //! Integration tests: the paper's headline claims, end to end.
 //!
-//! Each test reproduces one claim of Chandy & Misra (PODC 1985) through
-//! the public API of the workspace crates, at depths small enough for
-//! the regular test suite (the `repro` binary runs the fuller versions).
+//! `every_claim_holds_at_the_small_preset` runs every row of the claims
+//! table that the `repro` report prints, so the suite checks each claim
+//! of Chandy & Misra (PODC 1985) that the report reproduces. The other
+//! tests check single claims through the public API of the workspace
+//! crates at other sizes.
 
+use hpl_bench::claims::{Scale, CLAIMS};
 use hpl_core::{Evaluator, Formula, Interpretation};
 use hpl_model::ProcessSet;
 use hpl_protocols::{failure, token_bus, tracking, two_generals};
+
+#[test]
+fn every_claim_holds_at_the_small_preset() {
+    let refuted: Vec<String> = CLAIMS
+        .iter()
+        .filter_map(|claim| {
+            let r = (claim.check)(Scale::Small).err()?;
+            Some(format!("{} ({}): {r}", claim.name, claim.reference))
+        })
+        .collect();
+    assert!(refuted.is_empty(), "refuted rows:\n{}", refuted.join("\n"));
+}
 
 #[test]
 fn token_bus_nested_knowledge_claim() {

@@ -2,38 +2,12 @@
 //! dichotomy is exhaustive and exclusive, and Lemma-1 fusion outputs
 //! round-trip through full computation re-validation.
 
+use hpl_bench::random_computation;
 use hpl_core::{decompose, fuse_lemma1, Decomposition};
 use hpl_model::{Computation, ComputationBuilder, MessageId, ProcessId, ProcessSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-
-/// A random valid computation over `n` processes (sends, matched
-/// receives, internal events).
-fn random_computation(n: usize, steps: usize, seed: u64) -> Computation {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = ComputationBuilder::new(n);
-    let mut in_flight: Vec<(ProcessId, MessageId)> = Vec::new();
-    for _ in 0..steps {
-        match rng.random_range(0..3) {
-            0 => {
-                let from = ProcessId::new(rng.random_range(0..n));
-                let to = ProcessId::new(rng.random_range(0..n));
-                let m = b.send(from, to).unwrap();
-                in_flight.push((to, m));
-            }
-            1 if !in_flight.is_empty() => {
-                let k = rng.random_range(0..in_flight.len());
-                let (to, m) = in_flight.remove(k);
-                b.receive(to, m).unwrap();
-            }
-            _ => {
-                b.internal(ProcessId::new(rng.random_range(0..n))).unwrap();
-            }
-        }
-    }
-    b.finish()
-}
 
 /// Extends `x` with `steps` random events confined to processes in
 /// `allowed` (sends and receives stay within the set), so the extension

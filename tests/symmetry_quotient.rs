@@ -24,15 +24,14 @@
 //! full evaluation diverge is classified out of contract, rejected by
 //! `Reject` and corrected by `Expand`.
 
+use hpl_bench::random_computation;
 use hpl_core::symmetry::struct_signature;
 use hpl_core::{
     canonical_key, check_closure, enumerate_sharded, CompId, CompSet, CoreError, EnumerationLimits,
     Evaluator, Formula, Interpretation, Invariance, LocalStep, LocalView, OrbitIndex, ProtoAction,
     Protocol, QuotientPolicy, ShardConfig, ShardedEnumeration, VarianceCause,
 };
-use hpl_model::{
-    ActionId, Computation, ComputationBuilder, MessageId, ProcessId, ProcessSet, SymmetryGroup,
-};
+use hpl_model::{ActionId, Computation, MessageId, ProcessId, ProcessSet, SymmetryGroup};
 use hpl_protocols::gossip::PushGossip;
 use hpl_protocols::token_bus::{BroadcastBus, TokenBus};
 use hpl_protocols::two_generals::TwoGenerals;
@@ -684,33 +683,6 @@ proptest! {
 // ---------------------------------------------------------------------
 // Canonical-form proptests
 // ---------------------------------------------------------------------
-
-/// A random valid computation over `n` processes (sends, matched
-/// receives, internal events) — same shape as the `properties` suite.
-fn random_computation(n: usize, steps: usize, seed: u64) -> Computation {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = ComputationBuilder::new(n);
-    let mut in_flight: Vec<(ProcessId, MessageId)> = Vec::new();
-    for _ in 0..steps {
-        match rng.random_range(0..3) {
-            0 => {
-                let from = pid(rng.random_range(0..n));
-                let to = pid(rng.random_range(0..n));
-                let m = b.send(from, to).unwrap();
-                in_flight.push((to, m));
-            }
-            1 if !in_flight.is_empty() => {
-                let k = rng.random_range(0..in_flight.len());
-                let (to, m) = in_flight.remove(k);
-                b.receive(to, m).unwrap();
-            }
-            _ => {
-                b.internal(pid(rng.random_range(0..n))).unwrap();
-            }
-        }
-    }
-    b.finish()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

@@ -1,36 +1,12 @@
 //! Integration property tests: the paper's theorems over random
 //! computations and enumerated protocols, across crate boundaries.
 
+use hpl_bench::random_computation;
 use hpl_core::{decompose, fuse_theorem2, Decomposition, Evaluator, Formula, Interpretation};
 use hpl_model::{ComputationBuilder, MessageId, ProcessId, ProcessSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-
-fn random_computation(n: usize, steps: usize, seed: u64) -> hpl_model::Computation {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = ComputationBuilder::new(n);
-    let mut in_flight: Vec<(ProcessId, MessageId)> = Vec::new();
-    for _ in 0..steps {
-        match rng.random_range(0..3) {
-            0 => {
-                let from = ProcessId::new(rng.random_range(0..n));
-                let to = ProcessId::new(rng.random_range(0..n));
-                let m = b.send(from, to).unwrap();
-                in_flight.push((to, m));
-            }
-            1 if !in_flight.is_empty() => {
-                let k = rng.random_range(0..in_flight.len());
-                let (to, m) = in_flight.remove(k);
-                b.receive(to, m).unwrap();
-            }
-            _ => {
-                b.internal(ProcessId::new(rng.random_range(0..n))).unwrap();
-            }
-        }
-    }
-    b.finish()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
