@@ -45,7 +45,7 @@ pub struct Evaluator<'u> {
     iso: IsoIndex<'u>,
     sym: Option<OrbitIndex<'u>>,
     policy: QuotientPolicy,
-    memo: HashMap<Formula, CompSet>,
+    memo: HashMap<Formula, Arc<CompSet>>,
     // classification depends only on the (fixed) interpretation and
     // group, never on universe contents, so it is never invalidated —
     // without it every first evaluation of a subformula re-traverses
@@ -85,7 +85,7 @@ pub enum QuotientPolicy {
 #[derive(Debug)]
 struct ExpansionState {
     xu: ExpandedUniverse,
-    xmemo: HashMap<Formula, CompSet>,
+    xmemo: HashMap<Formula, Arc<CompSet>>,
     components: Option<Components>,
 }
 
@@ -151,6 +151,12 @@ pub struct MemoStats {
 /// [`generation`](Universe::generation), so entries can never leak
 /// across snapshot states even if the underlying universe later grows.
 ///
+/// Entries are shared, not copied: each holds an `Arc<CompSet>`, and
+/// [`SatCache::lookup`] hashes the borrowed formula and hands out a
+/// clone of that `Arc`, so a hit allocates nothing and every evaluator
+/// served from one entry points at the same set
+/// ([`Evaluator::try_sat_shared`]).
+///
 /// # Sharing contract
 ///
 /// A satisfaction set is a function of the universe state **and** the
@@ -167,8 +173,9 @@ pub struct MemoStats {
 /// Two independent limits keep the cache finite:
 ///
 /// * entries for up to [`MAX_CACHED_GENERATIONS`] distinct generations
-///   are retained (least-recently-served eviction), mirroring
-///   [`ClassCache`];
+///   are retained, mirroring [`ClassCache`]: a hit or a publish moves
+///   its generation to the back of the window, and a generation beyond
+///   it evicts the least recently served one;
 /// * the resident-bytes estimate is capped at a fixed
 ///   [`capacity`](SatCache::capacity_bytes) (default
 ///   [`DEFAULT_SAT_CACHE_CAPACITY`]): publishing past it evicts
@@ -202,7 +209,9 @@ impl Default for SatCache {
 struct SatCacheInner {
     /// Generations currently cached, most recently served last.
     recent: Vec<u64>,
-    map: HashMap<(u64, Formula), SatEntry>,
+    /// Entries by generation, then by formula, so a lookup hashes the
+    /// caller's borrowed formula instead of an owned key.
+    map: HashMap<u64, HashMap<Formula, SatEntry>>,
     /// Monotone LRU clock: bumped on every hit and publish, stamped
     /// into the touched entry.
     clock: u64,
@@ -214,8 +223,31 @@ struct SatCacheInner {
 /// One cached satisfaction set plus its last-served LRU stamp.
 #[derive(Debug)]
 struct SatEntry {
-    sat: CompSet,
+    sat: Arc<CompSet>,
     served: u64,
+}
+
+impl SatCacheInner {
+    /// Moves `generation` to the back of the window, opening it if it
+    /// is new; returns the generation that fell out of the window.
+    fn serve_generation(&mut self, generation: u64) -> Option<u64> {
+        match self.recent.iter().position(|&g| g == generation) {
+            Some(i) => {
+                let g = self.recent.remove(i);
+                self.recent.push(g);
+                None
+            }
+            None => {
+                self.recent.push(generation);
+                (self.recent.len() > MAX_CACHED_GENERATIONS).then(|| self.recent.remove(0))
+            }
+        }
+    }
+
+    /// Entries cached over all generations.
+    fn len(&self) -> usize {
+        self.map.values().map(HashMap::len).sum()
+    }
 }
 
 /// Estimated resident bytes of one cache entry: bitset words plus
@@ -299,17 +331,27 @@ impl SatCache {
     }
 
     /// Looks up the satisfaction set of `f` over generation `generation`,
-    /// counting the outcome in [`SatCacheStats`]. A hit refreshes the
-    /// entry's LRU stamp.
+    /// counting the outcome in [`SatCacheStats`]. `f` is hashed as
+    /// borrowed, and a hit returns the entry's own `Arc`. A hit
+    /// refreshes the entry's LRU stamp and moves its generation to the
+    /// back of the [`MAX_CACHED_GENERATIONS`] window.
     #[must_use]
-    pub fn lookup(&self, generation: u64, f: &Formula) -> Option<CompSet> {
+    pub fn lookup(&self, generation: u64, f: &Formula) -> Option<Arc<CompSet>> {
         let mut inner = self.inner.lock();
         inner.clock += 1;
         let clock = inner.clock;
-        let hit = inner.map.get_mut(&(generation, f.clone())).map(|e| {
-            e.served = clock;
-            e.sat.clone()
-        });
+        let hit = inner
+            .map
+            .get_mut(&generation)
+            .and_then(|entries| entries.get_mut(f))
+            .map(|e| {
+                e.served = clock;
+                Arc::clone(&e.sat)
+            });
+        if hit.is_some() {
+            // a cached generation is in the window: nothing falls out
+            let _ = inner.serve_generation(generation);
+        }
         drop(inner);
         if hit.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -329,61 +371,56 @@ impl SatCache {
     /// generation) until it fits, keeping at least the entry just
     /// published.
     pub fn publish(&self, generation: u64, f: &Formula, sat: &CompSet) {
+        self.insert(generation, f, Arc::new(sat.clone()));
+    }
+
+    /// [`SatCache::publish`] of a set already behind an `Arc`, which the
+    /// entry then shares.
+    fn insert(&self, generation: u64, f: &Formula, sat: Arc<CompSet>) {
         let mut inner = self.inner.lock();
-        match inner.recent.iter().position(|&g| g == generation) {
-            Some(i) => {
-                let g = inner.recent.remove(i);
-                inner.recent.push(g);
-            }
-            None => {
-                inner.recent.push(generation);
-                if inner.recent.len() > MAX_CACHED_GENERATIONS {
-                    let evicted = inner.recent.remove(0);
-                    let before = inner.map.len();
-                    let mut freed = 0;
-                    inner.map.retain(|&(g, _), e| {
-                        let keep = g != evicted;
-                        if !keep {
-                            freed += entry_cost(&e.sat);
-                        }
-                        keep
-                    });
-                    inner.resident -= freed;
-                    self.evictions
-                        .fetch_add((before - inner.map.len()) as u64, Ordering::Relaxed);
-                }
+        if let Some(evicted) = inner.serve_generation(generation) {
+            if let Some(entries) = inner.map.remove(&evicted) {
+                inner.resident -= entries.values().map(|e| entry_cost(&e.sat)).sum::<usize>();
+                self.evictions
+                    .fetch_add(entries.len() as u64, Ordering::Relaxed);
             }
         }
         inner.clock += 1;
         let clock = inner.clock;
-        match inner.map.entry((generation, f.clone())) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                // racing workers publish the same set; just refresh
-                e.get_mut().served = clock;
-                return;
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(SatEntry {
-                    sat: sat.clone(),
-                    served: clock,
-                });
-                inner.resident += entry_cost(sat);
-            }
+        let entries = inner.map.entry(generation).or_default();
+        if let Some(e) = entries.get_mut(f) {
+            // racing workers publish the same set; just refresh
+            e.served = clock;
+            return;
         }
+        let cost = entry_cost(&sat);
+        entries.insert(f.clone(), SatEntry { sat, served: clock });
+        inner.resident += cost;
         // size cap: shed cold entries, never the one just published
-        // (it carries the freshest stamp, so it is scanned last)
-        while inner.resident > self.capacity && inner.map.len() > 1 {
+        // (it carries the freshest stamp, so it is scanned last); stamps
+        // are unique, so the coldest one names exactly one entry
+        while inner.resident > self.capacity && inner.len() > 1 {
             let coldest = inner
                 .map
                 .iter()
-                .min_by_key(|(_, e)| e.served)
-                .map(|(k, _)| k.clone());
-            let Some(k) = coldest else { break };
-            if let Some(e) = inner.map.remove(&k) {
-                inner.resident -= entry_cost(&e.sat);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                hpl_telemetry::counter_add("eval.sat_cache_evict", 1);
-            }
+                .flat_map(|(&g, entries)| entries.values().map(move |e| (e.served, g)))
+                .min();
+            let Some((served, g)) = coldest else { break };
+            let entries = inner
+                .map
+                .get_mut(&g)
+                .expect("the coldest entry's generation");
+            let mut freed = 0;
+            entries.retain(|_, e| {
+                let keep = e.served != served;
+                if !keep {
+                    freed = entry_cost(&e.sat);
+                }
+                keep
+            });
+            inner.resident -= freed;
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            hpl_telemetry::counter_add("eval.sat_cache_evict", 1);
         }
     }
 
@@ -407,19 +444,19 @@ impl SatCache {
     ) -> usize {
         // snapshot the source entries outside the publish path —
         // publish() takes the same lock
-        let sources: Vec<(Formula, CompSet)> = {
+        let sources: Vec<(Formula, Arc<CompSet>)> = {
             let inner = self.inner.lock();
-            inner
-                .map
-                .iter()
-                .filter(|((g, _), _)| *g == from)
-                .map(|((_, f), e)| (f.clone(), e.sat.clone()))
-                .collect()
+            inner.map.get(&from).map_or_else(Vec::new, |entries| {
+                entries
+                    .iter()
+                    .map(|(f, e)| (f.clone(), Arc::clone(&e.sat)))
+                    .collect()
+            })
         };
         let mut carried = 0;
         for (f, old) in sources {
             if let Some(new) = transfer(&f, &old) {
-                self.publish(to, &f, &new);
+                self.insert(to, &f, Arc::new(new));
                 carried += 1;
             }
         }
@@ -431,7 +468,7 @@ impl SatCache {
     pub fn stats(&self) -> SatCacheStats {
         let (entries, resident_bytes) = {
             let inner = self.inner.lock();
-            (inner.map.len(), inner.resident)
+            (inner.len(), inner.resident)
         };
         SatCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -746,21 +783,33 @@ impl<'u> Evaluator<'u> {
     /// classifies `f` [`Invariance::OutOfContract`]. Infallible for
     /// every other configuration.
     pub fn try_sat_set(&mut self, f: &Formula) -> Result<CompSet, CoreError> {
+        self.try_sat_shared(f).map(Arc::unwrap_or_clone)
+    }
+
+    /// [`Evaluator::try_sat_set`] without the copy: the satisfaction set
+    /// as the `Arc` this evaluator's memo and the attached [`SatCache`]
+    /// hold. A cache hit returns the cache entry's own `Arc`, so it
+    /// allocates no set and clones the formula once, for the memo key.
+    ///
+    /// # Errors
+    ///
+    /// As [`Evaluator::try_sat_set`].
+    pub fn try_sat_shared(&mut self, f: &Formula) -> Result<Arc<CompSet>, CoreError> {
         if let Some(s) = self.memo.get(f) {
             hpl_telemetry::counter_add("eval.memo_hit", 1);
-            return Ok(s.clone());
+            return Ok(Arc::clone(s));
         }
         hpl_telemetry::counter_add("eval.memo_miss", 1);
         let _eval = hpl_telemetry::span("eval.sat_set");
         if let Some((generation, cache)) = &self.shared {
             if let Some(s) = cache.lookup(*generation, f) {
-                self.memo.insert(f.clone(), s.clone());
+                self.memo.insert(f.clone(), Arc::clone(&s));
                 return Ok(s);
             }
         }
         // plain universes and in-contract quotient formulas evaluate on
         // the evaluator's own universe; the policy decides the rest
-        let s = match self.check_symmetry(f) {
+        let s = Arc::new(match self.check_symmetry(f) {
             Invariance::OutOfContract(v) => match self.policy {
                 QuotientPolicy::Reject => return Err(CoreError::QuotientUnsound(v)),
                 QuotientPolicy::Expand => {
@@ -769,19 +818,14 @@ impl<'u> Evaluator<'u> {
                 }
             },
             _ => satisfy(self, f)?,
-        };
-        self.memo.insert(f.clone(), s.clone());
-        self.publish(f, &s);
-        Ok(s)
-    }
-
-    /// Publishes a freshly computed satisfaction set to the attached
-    /// [`SatCache`] (no-op without one). Rejections are never cached:
-    /// re-deriving the classification is cheap and already memoized.
-    fn publish(&self, f: &Formula, s: &CompSet) {
+        });
+        self.memo.insert(f.clone(), Arc::clone(&s));
+        // rejections are never cached: re-deriving the classification
+        // is cheap and already memoized
         if let Some((generation, cache)) = &self.shared {
-            cache.publish(*generation, f, s);
+            cache.insert(*generation, f, Arc::clone(&s));
         }
+        Ok(s)
     }
 
     /// Does `f` hold at computation `x`? (The paper's `f at x`.)
@@ -811,7 +855,7 @@ impl<'u> Evaluator<'u> {
             .orbits()
             .expect("expansion requires an orbit-aware evaluator");
         // detach the expansion state so the recursion may re-enter
-        // `try_sat_set` (for invariant subtrees) without aliasing it
+        // `try_sat_shared` (for invariant subtrees) without aliasing it
         let mut st = self.expansion.take().unwrap_or_else(|| ExpansionState {
             xu: ExpandedUniverse::new(orbits),
             xmemo: HashMap::new(),
@@ -871,7 +915,7 @@ trait Frame {
     /// Number of processes, for `Everyone` and `Common`.
     fn system_size(&self) -> usize;
     /// The satisfaction set of a subformula, through the frame's memo.
-    fn sat(&mut self, f: &Formula) -> Result<CompSet, CoreError>;
+    fn sat(&mut self, f: &Formula) -> Result<Arc<CompSet>, CoreError>;
     /// The members at which an atom holds.
     fn atom(&self, id: AtomId) -> CompSet;
     /// Calls `visit(test, members)` once per `[P]`-class: `P knows b`
@@ -892,35 +936,35 @@ fn satisfy<F: Frame>(frame: &mut F, f: &Formula) -> Result<CompSet, CoreError> {
         Formula::False => CompSet::new(n),
         Formula::Atom(id) => frame.atom(*id),
         Formula::Not(g) => {
-            let mut s = frame.sat(g)?;
+            let mut s = Arc::unwrap_or_clone(frame.sat(g)?);
             s.complement();
             s
         }
         Formula::And(gs) => {
             let mut s = CompSet::full(n);
             for g in gs {
-                s.intersect_with(&frame.sat(g)?);
+                s.intersect_with(&*frame.sat(g)?);
             }
             s
         }
         Formula::Or(gs) => {
             let mut s = CompSet::new(n);
             for g in gs {
-                s.union_with(&frame.sat(g)?);
+                s.union_with(&*frame.sat(g)?);
             }
             s
         }
         Formula::Implies(a, b) => {
             // ¬a ∨ b
-            let mut s = frame.sat(a)?;
+            let mut s = Arc::unwrap_or_clone(frame.sat(a)?);
             s.complement();
-            s.union_with(&frame.sat(b)?);
+            s.union_with(&*frame.sat(b)?);
             s
         }
         Formula::Iff(a, b) => {
             // a ⇔ b is the complement of a ⊕ b
-            let mut s = frame.sat(a)?;
-            s.xor_with(&frame.sat(b)?);
+            let mut s = Arc::unwrap_or_clone(frame.sat(a)?);
+            s.xor_with(&*frame.sat(b)?);
             s.complement();
             s
         }
@@ -991,8 +1035,8 @@ impl Frame for Evaluator<'_> {
         self.universe.system_size()
     }
 
-    fn sat(&mut self, f: &Formula) -> Result<CompSet, CoreError> {
-        self.try_sat_set(f)
+    fn sat(&mut self, f: &Formula) -> Result<Arc<CompSet>, CoreError> {
+        self.try_sat_shared(f)
     }
 
     fn atom(&self, id: AtomId) -> CompSet {
@@ -1043,17 +1087,17 @@ impl Frame for Expanded<'_, '_> {
         self.ev.universe.system_size()
     }
 
-    fn sat(&mut self, f: &Formula) -> Result<CompSet, CoreError> {
+    fn sat(&mut self, f: &Formula) -> Result<Arc<CompSet>, CoreError> {
         if let Some(s) = self.st.xmemo.get(f) {
-            return Ok(s.clone());
+            return Ok(Arc::clone(s));
         }
-        let s = if self.ev.check_symmetry(f).is_invariant() {
-            let rep = self.ev.try_sat_set(f)?;
+        let s = Arc::new(if self.ev.check_symmetry(f).is_invariant() {
+            let rep = self.ev.try_sat_shared(f)?;
             self.st.xu.lift(&rep)
         } else {
             satisfy(self, f)?
-        };
-        self.st.xmemo.insert(f.clone(), s.clone());
+        });
+        self.st.xmemo.insert(f.clone(), Arc::clone(&s));
         Ok(s)
     }
 

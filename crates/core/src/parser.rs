@@ -99,7 +99,7 @@ struct Parser<'a> {
     open: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn err(&self, message: &str) -> ParseError {
         ParseError {
             position: self.pos,
@@ -168,7 +168,8 @@ impl Parser<'_> {
         }
     }
 
-    fn peek_word(&mut self) -> Option<&str> {
+    /// The next operator, atom or process name, borrowed from the input.
+    fn peek_word(&mut self) -> Option<&'a str> {
         self.skip_ws();
         let start = self.pos;
         let mut end = start;
@@ -186,8 +187,8 @@ impl Parser<'_> {
         }
     }
 
-    fn take_word(&mut self) -> Option<String> {
-        let w = self.peek_word()?.to_owned();
+    fn take_word(&mut self) -> Option<&'a str> {
+        let w = self.peek_word()?;
         self.pos += w.len();
         Some(w)
     }

@@ -166,25 +166,48 @@ impl Invariance {
 }
 
 /// Internal lattice: `Inv > Exact > Unsound`, each lower level carrying
-/// its witness.
-enum Level {
+/// its witness, borrowed from the formula and the generators: only an
+/// out-of-contract verdict copies it ([`Cause::to_owned`]).
+#[derive(Clone, Copy)]
+enum Level<'a> {
     Inv,
     /// The deepest orbit-variant subformula and why it varies.
-    Exact(Formula, VarianceCause),
-    Unsound(SoundnessViolation),
+    Exact(&'a Formula, Cause<'a>),
+    /// The operator over an orbit-variant subformula, that subformula,
+    /// and why it varies.
+    Unsound(&'a Formula, &'a Formula, Cause<'a>),
 }
 
-impl Level {
+/// A borrowed [`VarianceCause`].
+#[derive(Clone, Copy)]
+enum Cause<'a> {
+    DependentAtom(crate::formula::AtomId),
+    MovedSet(ProcessSet, &'a Permutation),
+}
+
+impl Cause<'_> {
+    fn to_owned(self) -> VarianceCause {
+        match self {
+            Cause::DependentAtom(atom) => VarianceCause::DependentAtom { atom },
+            Cause::MovedSet(set, generator) => VarianceCause::MovedSet {
+                set,
+                generator: generator.clone(),
+            },
+        }
+    }
+}
+
+impl Level<'_> {
     fn rank(&self) -> u8 {
         match self {
             Level::Inv => 2,
             Level::Exact(..) => 1,
-            Level::Unsound(_) => 0,
+            Level::Unsound(..) => 0,
         }
     }
 
     /// Keeps the lower of the two levels (first witness wins ties).
-    fn meet(self, other: Level) -> Level {
+    fn meet(self, other: Self) -> Self {
         if other.rank() < self.rank() {
             other
         } else {
@@ -247,14 +270,22 @@ pub fn classify_invariance(
     match level(f, interp, &gens) {
         Level::Inv => Invariance::Invariant,
         Level::Exact(..) => Invariance::ExactAtRepresentatives,
-        Level::Unsound(v) => Invariance::OutOfContract(Box::new(v)),
+        Level::Unsound(operator, subformula, cause) => {
+            Invariance::OutOfContract(Box::new(SoundnessViolation {
+                operator: operator.clone(),
+                subformula: subformula.clone(),
+                cause: cause.to_owned(),
+            }))
+        }
     }
 }
 
 /// Classifies **every distinct subformula** of `f` in one post-order
 /// walk: the returned schedule lists each unique subformula exactly
 /// once, children strictly before parents, `f` itself last, each paired
-/// with its [`classify_invariance`] verdict.
+/// with its [`classify_invariance`] verdict. The subformulas are
+/// borrowed from `f`; only an out-of-contract verdict copies the
+/// subformulas its witness names.
 ///
 /// This is the query planner's diagnostic view: the per-subtree
 /// verdicts say in advance which subtrees stay on the quotient fast
@@ -262,31 +293,30 @@ pub fn classify_invariance(
 /// rejection). Duplicate subtrees appear once, which is exactly the
 /// common-subformula deduplication the evaluator's memo exploits.
 #[must_use]
-pub fn classify_subformulas(
-    f: &Formula,
+pub fn classify_subformulas<'f>(
+    f: &'f Formula,
     interp: &Interpretation,
     generators: &[Permutation],
-) -> Vec<(Formula, Invariance)> {
+) -> Vec<(&'f Formula, Invariance)> {
     let mut seen = std::collections::HashSet::new();
     let mut order = Vec::new();
     collect_post_order(f, &mut seen, &mut order);
     order
         .into_iter()
-        .map(|g| {
-            let verdict = classify_invariance(&g, interp, generators);
-            (g, verdict)
-        })
+        .map(|g| (g, classify_invariance(g, interp, generators)))
         .collect()
 }
 
 /// Appends `f`'s distinct subformulas to `out` post-order (children
 /// before parents, duplicates skipped).
-fn collect_post_order(
-    f: &Formula,
-    seen: &mut std::collections::HashSet<Formula>,
-    out: &mut Vec<Formula>,
+fn collect_post_order<'f>(
+    f: &'f Formula,
+    seen: &mut std::collections::HashSet<&'f Formula>,
+    out: &mut Vec<&'f Formula>,
 ) {
-    if seen.contains(f) {
+    // marking `f` before its children is safe: no formula is its own
+    // proper subformula
+    if !seen.insert(f) {
         return;
     }
     match f {
@@ -306,8 +336,7 @@ fn collect_post_order(
             collect_post_order(b, seen, out);
         }
     }
-    seen.insert(f.clone());
-    out.push(f.clone());
+    out.push(f);
 }
 
 /// The first generator moving `set`, if any.
@@ -315,14 +344,12 @@ fn moved_by<'a>(set: ProcessSet, gens: &[&'a Permutation]) -> Option<&'a Permuta
     gens.iter().find(|g| !g.stabilizes(set)).copied()
 }
 
-fn level(f: &Formula, interp: &Interpretation, gens: &[&Permutation]) -> Level {
+fn level<'a>(f: &'a Formula, interp: &Interpretation, gens: &[&'a Permutation]) -> Level<'a> {
     match f {
         Formula::True | Formula::False => Level::Inv,
         Formula::Atom(id) => match interp.invariance(*id) {
             AtomInvariance::Invariant => Level::Inv,
-            AtomInvariance::Dependent => {
-                Level::Exact(f.clone(), VarianceCause::DependentAtom { atom: *id })
-            }
+            AtomInvariance::Dependent => Level::Exact(f, Cause::DependentAtom(*id)),
         },
         Formula::Not(g) => level(g, interp, gens),
         Formula::And(gs) | Formula::Or(gs) => gs
@@ -334,29 +361,15 @@ fn level(f: &Formula, interp: &Interpretation, gens: &[&Permutation]) -> Level {
         Formula::Knows(p, g) | Formula::Sure(p, g) => match level(g, interp, gens) {
             Level::Inv => match moved_by(*p, gens) {
                 None => Level::Inv,
-                Some(generator) => Level::Exact(
-                    f.clone(),
-                    VarianceCause::MovedSet {
-                        set: *p,
-                        generator: generator.clone(),
-                    },
-                ),
+                Some(generator) => Level::Exact(f, Cause::MovedSet(*p, generator)),
             },
-            Level::Exact(subformula, cause) => Level::Unsound(SoundnessViolation {
-                operator: f.clone(),
-                subformula,
-                cause,
-            }),
-            unsound @ Level::Unsound(_) => unsound,
+            Level::Exact(subformula, cause) => Level::Unsound(f, subformula, cause),
+            unsound @ Level::Unsound(..) => unsound,
         },
         Formula::Everyone(g) | Formula::Common(g) => match level(g, interp, gens) {
             Level::Inv => Level::Inv,
-            Level::Exact(subformula, cause) => Level::Unsound(SoundnessViolation {
-                operator: f.clone(),
-                subformula,
-                cause,
-            }),
-            unsound @ Level::Unsound(_) => unsound,
+            Level::Exact(subformula, cause) => Level::Unsound(f, subformula, cause),
+            unsound @ Level::Unsound(..) => unsound,
         },
     }
 }

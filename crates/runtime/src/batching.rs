@@ -33,8 +33,9 @@ enum Ticket<T> {
     Follower(Receiver<T>),
 }
 
-/// The followers waiting on each in-flight `(generation, formula)`.
-type Inflight<T> = HashMap<(u64, Formula), Vec<Sender<T>>>;
+/// The followers waiting on each in-flight formula, by generation: a
+/// lookup borrows the formula, and only a leader clones it in.
+type Inflight<T> = HashMap<u64, HashMap<Formula, Vec<Sender<T>>>>;
 
 /// In-flight request coalescing, keyed by `(generation, formula)`.
 ///
@@ -78,8 +79,7 @@ impl<T: Clone> Admission<T> {
                 }
                 Err(panic) => {
                     // dropping the followers' senders disconnects them
-                    // analyze:acquire(admission.inflight) analyze:release(admission.inflight)
-                    self.inflight.lock().remove(&(generation, f.clone()));
+                    drop(self.remove(generation, f));
                     resume_unwind(panic)
                 }
             },
@@ -99,18 +99,16 @@ impl<T: Clone> Admission<T> {
         // channel is created, not received on)
         // analyze:acquire(admission.inflight)
         let mut inflight = self.inflight.lock();
-        match inflight.entry((generation, f.clone())) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let (tx, rx) = unbounded();
-                e.get_mut().push(tx);
-                self.coalesced.fetch_add(1, Ordering::Relaxed);
-                Ticket::Follower(rx)
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(Vec::new());
-                self.led.fetch_add(1, Ordering::Relaxed);
-                Ticket::Leader
-            }
+        let waiting = inflight.entry(generation).or_default();
+        if let Some(followers) = waiting.get_mut(f) {
+            let (tx, rx) = unbounded();
+            followers.push(tx);
+            self.coalesced.fetch_add(1, Ordering::Relaxed);
+            Ticket::Follower(rx)
+        } else {
+            waiting.insert(f.clone(), Vec::new());
+            self.led.fetch_add(1, Ordering::Relaxed);
+            Ticket::Leader
         }
     }
 
@@ -118,18 +116,23 @@ impl<T: Clone> Admission<T> {
     /// broadcasts `outcome` to every follower that joined while it was
     /// evaluating.
     fn settle(&self, generation: u64, f: &Formula, outcome: &T) {
-        // the map guard is a statement temporary — dropped before the
-        // broadcast sends below
-        // analyze:acquire(admission.inflight) analyze:release(admission.inflight)
-        let waiters = self
-            .inflight
-            .lock()
-            .remove(&(generation, f.clone()))
-            .unwrap_or_default();
-        for w in waiters {
+        for w in self.remove(generation, f) {
             // a follower that gave up (dropped its receiver) is fine
             let _ = w.send(outcome.clone());
         }
+    }
+
+    /// Takes a led request's entry out of the table, by borrow, and
+    /// returns the followers that joined it.
+    fn remove(&self, generation: u64, f: &Formula) -> Vec<Sender<T>> {
+        // the map guard is a statement temporary — dropped before the
+        // caller broadcasts to or disconnects the followers
+        // analyze:acquire(admission.inflight) analyze:release(admission.inflight)
+        self.inflight
+            .lock()
+            .get_mut(&generation)
+            .and_then(|waiting| waiting.remove(f))
+            .unwrap_or_default()
     }
 
     /// Requests that joined an in-flight leader instead of evaluating.
@@ -147,7 +150,7 @@ impl<T: Clone> Admission<T> {
     /// Number of requests currently in flight (for tests).
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.inflight.lock().len()
+        self.inflight.lock().values().map(HashMap::len).sum()
     }
 }
 

@@ -1,19 +1,19 @@
 //! The query planner: constant folding, common-subformula
 //! deduplication, and quotient-vs-full selection per subtree.
 //!
-//! A [`QueryPlan`] holds the constant-folded root and, as a diagnostic
-//! view, the **distinct** subformulas of that root (children before
-//! parents). [`execute`] evaluates the root with one
-//! [`Evaluator::try_sat_set`] call: the evaluator's memo computes each
-//! distinct subformula once no matter how often it occurs, and an
-//! attached [`SatCache`](hpl_core::SatCache) answers a repeated query
-//! with one lookup. On quotient snapshots each step also carries its
-//! soundness verdict ([`classify_subformulas`]), so the plan records in
-//! advance which subtrees stay on the quotient fast path and which will
-//! take the policy fallback (orbit expansion under
+//! A [`QueryPlan`] holds the constant-folded root and the counters of
+//! one walk over its **distinct** subformulas, borrowed from the root
+//! ([`classify_subformulas`]): on quotient snapshots, which subtrees
+//! stay on the quotient fast path and which will take the policy
+//! fallback (orbit expansion under
 //! [`QuotientPolicy::Expand`](hpl_core::QuotientPolicy::Expand), typed
 //! rejection under
-//! [`QuotientPolicy::Reject`](hpl_core::QuotientPolicy::Reject)).
+//! [`QuotientPolicy::Reject`](hpl_core::QuotientPolicy::Reject)). The
+//! step list is built only on request ([`QueryPlan::steps`]).
+//! [`execute`] evaluates the root with one [`Evaluator::try_sat_set`]
+//! call: the evaluator's memo computes each distinct subformula once,
+//! and an attached [`SatCache`](hpl_core::SatCache) answers a repeated
+//! query with one lookup.
 //!
 //! Every folding rule is a semantic identity of the paper's operators
 //! over finite universes — notably `K_P(false) = false` because every
@@ -71,16 +71,17 @@ pub struct PlanStats {
     pub fallback_steps: usize,
 }
 
-/// A planned query: the folded root, its distinct subformulas, and the
-/// planning counters.
+/// A planned query: the folded root, the planning counters, and what
+/// [`QueryPlan::steps`] lists the distinct subformulas with.
 #[derive(Clone, Debug)]
-pub struct QueryPlan {
+pub struct QueryPlan<'s> {
     root: Formula,
-    steps: Vec<PlanStep>,
     stats: PlanStats,
+    interp: &'s Interpretation,
+    generators: Option<&'s [Permutation]>,
 }
 
-impl QueryPlan {
+impl QueryPlan<'_> {
     /// The constant-folded root formula. Two submitted formulas that
     /// fold to the same root are the same query — the admission layer
     /// keys in-flight coalescing on this.
@@ -89,12 +90,24 @@ impl QueryPlan {
         &self.root
     }
 
+    /// The folded root, moved out of the plan.
+    #[must_use]
+    pub fn into_root(self) -> Formula {
+        self.root
+    }
+
     /// The distinct subformulas with their evaluation modes (children
     /// before parents, root last) — the work [`execute`] does on a cold
-    /// evaluator.
+    /// evaluator — built on each call; serving a query never asks.
     #[must_use]
-    pub fn steps(&self) -> &[PlanStep] {
-        &self.steps
+    pub fn steps(&self) -> Vec<PlanStep> {
+        classify_subformulas(&self.root, self.interp, self.generators.unwrap_or(&[]))
+            .into_iter()
+            .map(|(formula, verdict)| PlanStep {
+                formula: formula.clone(),
+                mode: mode(self.generators, &verdict),
+            })
+            .collect()
     }
 
     /// Planning counters.
@@ -104,41 +117,38 @@ impl QueryPlan {
     }
 }
 
-/// Plans `f` for a snapshot: folds constants, lists the distinct
-/// subformulas, and — when `generators`
-/// describe the snapshot's symmetry group — selects quotient-vs-full
-/// per subtree with the soundness classifier. Pass `None` for plain
-/// (non-quotient) snapshots.
+/// How a subtree with `verdict` evaluates (`generators`: as in [`plan`]).
+fn mode(generators: Option<&[Permutation]>, verdict: &Invariance) -> SubtreeMode {
+    match (generators, verdict) {
+        (None, _) => SubtreeMode::Direct,
+        (Some(_), Invariance::OutOfContract(_)) => SubtreeMode::Fallback,
+        (Some(_), _) => SubtreeMode::Quotient,
+    }
+}
+
+/// Plans `f` for a snapshot: folds constants, counts the distinct
+/// subformulas, and — when `generators` describe the snapshot's
+/// symmetry group — selects quotient-vs-full per subtree with the
+/// soundness classifier. Pass `None` for plain (non-quotient) snapshots.
 #[must_use]
-pub fn plan(f: &Formula, interp: &Interpretation, generators: Option<&[Permutation]>) -> QueryPlan {
+pub fn plan<'s>(
+    f: &Formula,
+    interp: &'s Interpretation,
+    generators: Option<&'s [Permutation]>,
+) -> QueryPlan<'s> {
     let submitted = node_count(f);
     let root = fold(f);
     let kept = node_count(&root);
     let classified = classify_subformulas(&root, interp, generators.unwrap_or(&[]));
-    let steps: Vec<PlanStep> = classified
-        .into_iter()
-        .map(|(formula, verdict)| PlanStep {
-            formula,
-            mode: match (generators, verdict) {
-                (None, _) => SubtreeMode::Direct,
-                (Some(_), Invariance::OutOfContract(_)) => SubtreeMode::Fallback,
-                (Some(_), _) => SubtreeMode::Quotient,
-            },
-        })
-        .collect();
+    let modes = classified.iter().map(|(_, v)| mode(generators, v));
+    let steps_in = |m| modes.clone().filter(|&x| x == m).count();
     let stats = PlanStats {
         nodes: submitted,
         folded: submitted - kept,
-        unique: steps.len(),
-        deduped: kept - steps.len(),
-        quotient_steps: steps
-            .iter()
-            .filter(|s| s.mode == SubtreeMode::Quotient)
-            .count(),
-        fallback_steps: steps
-            .iter()
-            .filter(|s| s.mode == SubtreeMode::Fallback)
-            .count(),
+        unique: classified.len(),
+        deduped: kept - classified.len(),
+        quotient_steps: steps_in(SubtreeMode::Quotient),
+        fallback_steps: steps_in(SubtreeMode::Fallback),
     };
     // fold the per-plan counters into the global recorder — the one
     // aggregated reporting path; `PlanStats` stays the per-query view
@@ -149,7 +159,12 @@ pub fn plan(f: &Formula, interp: &Interpretation, generators: Option<&[Permutati
         hpl_telemetry::counter_add("plan.quotient_steps", stats.quotient_steps as u64);
         hpl_telemetry::counter_add("plan.fallback_steps", stats.fallback_steps as u64);
     }
-    QueryPlan { root, steps, stats }
+    QueryPlan {
+        root,
+        stats,
+        interp,
+        generators,
+    }
 }
 
 /// Executes a plan against an evaluator: one
@@ -305,12 +320,13 @@ mod tests {
         let f = shared.clone().or(shared.clone().not());
         let plan = plan(&f, &interp, None);
         assert_eq!(plan.stats().deduped, 3, "a, b and (a & b) each recur once");
-        let steps: Vec<&Formula> = plan.steps().iter().map(|s| &s.formula).collect();
-        let pos = |g: &Formula| steps.iter().position(|s| *s == g).expect("scheduled");
+        let steps = plan.steps();
+        let formulas: Vec<&Formula> = steps.iter().map(|s| &s.formula).collect();
+        let pos = |g: &Formula| formulas.iter().position(|s| *s == g).expect("scheduled");
         assert!(pos(&a) < pos(&shared));
         assert!(pos(&b) < pos(&shared));
-        assert_eq!(steps.last(), Some(&plan.root()), "root is last");
-        assert!(plan.steps().iter().all(|s| s.mode == SubtreeMode::Direct));
+        assert_eq!(formulas.last(), Some(&plan.root()), "root is last");
+        assert!(steps.iter().all(|s| s.mode == SubtreeMode::Direct));
     }
 
     #[test]

@@ -177,7 +177,7 @@ impl Snapshot {
 
     /// Plans a formula for this snapshot (see [`crate::planner`]).
     #[must_use]
-    pub fn plan(&self, f: &Formula) -> QueryPlan {
+    pub fn plan(&self, f: &Formula) -> QueryPlan<'_> {
         planner::plan(
             f,
             &self.interp,
@@ -185,9 +185,10 @@ impl Snapshot {
         )
     }
 
-    /// Evaluates a plan on a fresh evaluator wired to this snapshot's
-    /// shared caches, on the calling thread: what every
-    /// [`Session::query_formula`] runs.
+    /// Evaluates a plan's root on a fresh evaluator wired to this
+    /// snapshot's shared caches, on the calling thread: what every
+    /// [`Session::query_formula`] runs. A cache hit returns the
+    /// [`SatCache`] entry's own `Arc`.
     pub(crate) fn evaluate(&self, plan: &QueryPlan) -> Outcome {
         let mut eval = match &self.orbits {
             Some(o) => {
@@ -196,9 +197,7 @@ impl Snapshot {
             None => Evaluator::with_class_cache(&self.universe, &self.interp, self.classes.clone()),
         }
         .with_sat_cache(self.sats.clone());
-        planner::execute(plan, &mut eval)
-            .map(Arc::new)
-            .map_err(QueryError::from)
+        eval.try_sat_shared(plan.root()).map_err(QueryError::from)
     }
 }
 

@@ -91,6 +91,8 @@ impl Session {
     /// The query is parsed, planned and evaluated on the calling
     /// thread. A formula nested to [`MAX_FORMULA_DEPTH`] needs no more
     /// stack than the 2 MiB a thread spawned by `std` gets by default.
+    /// The parser already refuses deeper text, so unlike
+    /// [`Session::query_formula`] this does not walk the formula again.
     ///
     /// # Errors
     ///
@@ -121,16 +123,17 @@ impl Session {
         let _query = hpl_telemetry::span("query");
         // analyze:allow(wall-clock) query-latency telemetry; never affects results
         let start = Instant::now();
-        self.serve(f, start)
-    }
-
-    /// Plans, admits and evaluates `f` inside the caller's `query` span,
-    /// for a request the client made at `start`.
-    fn serve(&self, f: &Formula, start: Instant) -> Result<QueryResponse, QueryError> {
-        hpl_telemetry::counter_add("query.requests", 1);
         if nests_too_deep(f) {
             return Err(QueryError::TooDeep);
         }
+        self.serve(f, start)
+    }
+
+    /// Plans, admits and evaluates `f`, nested at most
+    /// [`MAX_FORMULA_DEPTH`] deep, inside the caller's `query` span, for
+    /// a request the client made at `start`.
+    fn serve(&self, f: &Formula, start: Instant) -> Result<QueryResponse, QueryError> {
+        hpl_telemetry::counter_add("query.requests", 1);
         let plan = {
             let _plan = hpl_telemetry::span("query.plan");
             self.snapshot.plan(f)
@@ -153,12 +156,12 @@ impl Session {
         Ok(QueryResponse {
             scenario: self.snapshot.name().to_owned(),
             generation,
-            formula: plan.root().clone(),
+            plan: plan.stats(),
+            formula: plan.into_root(),
             count: sat.count(),
             universe_len: self.snapshot.universe.len(),
             sat,
             coalesced,
-            plan: plan.stats(),
             elapsed: start.elapsed(),
         })
     }
