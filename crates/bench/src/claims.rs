@@ -639,7 +639,9 @@ fn tracking_report(_: Scale) -> Result<(), Refutation> {
         shortest > longest,
         "accuracy {shortest} at the shortest delay is not above {longest} at the longest"
     );
-    println!("accuracy degrades with delay; perfection unreachable — REPRODUCED");
+    println!(
+        "accuracy at the shortest delay beats the longest's; perfection unreachable — REPRODUCED"
+    );
     Ok(())
 }
 

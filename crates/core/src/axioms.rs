@@ -128,21 +128,13 @@ pub fn check_knowledge_facts(
             {
                 let classes = eval.iso().classes(p);
                 let sat = eval.sat_set(&kb);
-                let mut counterexample = None;
-                let mut checks = 0;
-                for class in 0..classes.class_count() {
-                    checks += 1;
-                    let mset = classes.member_set(class);
-                    let inside = mset.iter().filter(|&i| sat.contains(i)).count();
-                    if inside != 0 && inside != mset.count() {
-                        counterexample = Some(format!("K{p} not class-invariant on class {class}"));
-                        break;
-                    }
-                }
+                // classes are checked in index order up to the first mixed one
+                let mixed = classes.first_mixed(&sat);
                 report.facts.push(FactResult {
                     name: format!("K1/K2: x[P]y ⇒ (P knows b at x ≡ at y)  [P={p}]"),
-                    checks,
-                    counterexample,
+                    checks: mixed.map_or(classes.class_count(), |class| class + 1),
+                    counterexample: mixed
+                        .map(|class| format!("K{p} not class-invariant on class {class}")),
                 });
             }
 

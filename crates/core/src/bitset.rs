@@ -51,6 +51,20 @@ impl CompSet {
         s
     }
 
+    /// Creates the set `{i < len : member(i)}`, asking `member` once
+    /// per index in ascending order and writing whole words.
+    #[must_use]
+    pub fn from_fn(len: usize, mut member: impl FnMut(usize) -> bool) -> Self {
+        let mut s = CompSet::new(len);
+        for (w, word) in s.words.iter_mut().enumerate() {
+            let lo = w * 64;
+            for i in lo..(lo + 64).min(len) {
+                *word |= u64::from(member(i)) << (i - lo);
+            }
+        }
+        s
+    }
+
     /// The capacity (universe size) of this set.
     #[must_use]
     pub fn capacity(&self) -> usize {

@@ -11,12 +11,17 @@
 //! `Frame`: the plain universe, the stored representatives of a
 //! symmetry quotient, and the orbit-expanded virtual universe behind
 //! [`QuotientPolicy::Expand`] differ only in member count, atom
-//! valuation and `[P]`-classes.
+//! valuation and `[P]`-class labels. Every knowledge operator is one
+//! call of the label kernel (see [`crate::isomorphism`]): one pass over
+//! the members flags each class, a second reads each member's verdict.
 
 use crate::bitset::CompSet;
 use crate::error::CoreError;
 use crate::formula::{AtomId, Formula, Interpretation};
-use crate::isomorphism::{ClassCache, IsoIndex, MAX_CACHED_GENERATIONS};
+use crate::isomorphism::{
+    verdicts, ClassCache, Classes, IsoIndex, Labels, Resident, Structure, Test,
+    MAX_CACHED_GENERATIONS,
+};
 use crate::soundness::{classify_invariance, Invariance};
 use crate::symmetry::{ExpandedUniverse, OrbitIndex, Orbits};
 use crate::universe::{CompId, Universe};
@@ -28,10 +33,12 @@ use std::sync::Arc;
 
 /// Evaluates formulas over a universe under an interpretation.
 ///
-/// Holds the isomorphism-class cache and a formula→satisfaction-set memo;
-/// reuse one evaluator for many queries on the same universe — or share
-/// the partition cache across evaluators with
-/// [`Evaluator::with_class_cache`]. Over a symmetry-quotient universe,
+/// Holds a formula→satisfaction-set memo and reads its partitions,
+/// components and expansion structures from a [`ClassCache`]. Reuse one
+/// evaluator for many queries on the same universe — or share the cache
+/// across evaluators with [`Evaluator::with_class_cache`] (plain) or
+/// [`Evaluator::with_structures`] (any), so fresh evaluators build none
+/// of those structures again. Over a symmetry-quotient universe,
 /// construct with [`Evaluator::with_symmetry`] so knowledge queries
 /// quantify over whole orbits.
 ///
@@ -51,7 +58,9 @@ pub struct Evaluator<'u> {
     // without it every first evaluation of a subformula re-traverses
     // its whole subtree
     classifications: std::cell::RefCell<HashMap<Formula, Invariance>>,
-    components: Option<Components>,
+    /// The frame's common-knowledge components, taken from the cache on
+    /// first use.
+    components: Option<Arc<Classes>>,
     expansion: Option<ExpansionState>,
     /// Cross-evaluator satisfaction-set cache, with the universe
     /// generation pinned at attach time ([`Evaluator::with_sat_cache`]).
@@ -78,55 +87,53 @@ pub enum QuotientPolicy {
     Expand,
 }
 
-/// Lazily-built state of the [`QuotientPolicy::Expand`] fallback: the
-/// orbit-expanded virtual universe plus its own formula memo (virtual
-/// satisfaction sets, disjoint from the representative-level memo) and
-/// its common-knowledge components.
+/// The per-evaluator state of the [`QuotientPolicy::Expand`] fallback:
+/// the orbit-expanded virtual universe (a [`ClassCache`] entry) plus
+/// this evaluator's formula memo over it (virtual satisfaction sets,
+/// disjoint from the representative-level memo).
 #[derive(Debug)]
 struct ExpansionState {
-    xu: ExpandedUniverse,
+    xu: Arc<ExpandedUniverse>,
     xmemo: HashMap<Formula, Arc<CompSet>>,
-    components: Option<Components>,
 }
 
-/// The cached common-knowledge reachability structure: per-computation
-/// component labels plus each component's member set (for word-parallel
-/// satisfaction checks).
-#[derive(Debug)]
-struct Components {
-    labels: Vec<u32>,
-    sets: Vec<CompSet>,
-}
-
-impl Components {
-    /// The connected components of `⋃ₚ [p]` over a frame's members —
-    /// the reachability relation underlying common knowledge. Every
-    /// singleton class joins the members of its test set; each member
-    /// is labeled with its root, and each component's member set is
-    /// materialized once, so `Common` evaluations are pure word-level
-    /// set algebra.
-    fn build<F: Frame>(frame: &F) -> Self {
-        let n = frame.len();
-        let mut dsu = Dsu::new(n);
-        for pi in 0..frame.system_size() {
-            frame.classes(ProcessSet::singleton(ProcessId::new(pi)), |test, _| {
-                dsu.chain(test.iter());
-            });
-        }
-        let labels: Vec<u32> = (0..n).map(|i| dsu.find(i) as u32).collect();
-        // each root's component index; roots are members, so a Vec
-        let mut set_of = vec![usize::MAX; n];
-        let mut sets: Vec<CompSet> = Vec::new();
-        for (i, &label) in labels.iter().enumerate() {
-            let k = &mut set_of[label as usize];
-            if *k == usize::MAX {
-                *k = sets.len();
-                sets.push(CompSet::new(n));
+/// The connected components of `⋃ₚ [p]` over a frame's `n` members —
+/// the reachability relation underlying common knowledge — as labels
+/// numbered by first member. Every singleton class joins the members of
+/// its test set, so `C b` is the label kernel's `Knows` test over these
+/// labels.
+fn component_labels<L: Labels>(n: usize, singletons: impl Iterator<Item = Arc<L>>) -> Classes {
+    let mut dsu = Dsu::new(n);
+    for part in singletons {
+        // each class's first test member; later ones join it
+        let mut first = vec![usize::MAX; part.class_count()];
+        for member in 0..n {
+            for &class in part.tests_of(member) {
+                match first[class as usize] {
+                    usize::MAX => first[class as usize] = member,
+                    root => dsu.union(root, member),
+                }
             }
-            sets[*k].insert(i);
         }
-        Components { labels, sets }
     }
+    let mut index = vec![u32::MAX; n];
+    let mut count = 0;
+    let class_of = (0..n)
+        .map(|i| {
+            let root = dsu.find(i);
+            if index[root] == u32::MAX {
+                index[root] = count;
+                count += 1;
+            }
+            index[root]
+        })
+        .collect();
+    Classes::from_labels(class_of, count as usize)
+}
+
+/// The singleton process sets `{p}` of a system of `n` processes.
+fn singletons(n: usize) -> impl Iterator<Item = ProcessSet> {
+    (0..n).map(|pi| ProcessSet::singleton(ProcessId::new(pi)))
 }
 
 /// A snapshot of the evaluator's memoized state, for diagnostics and
@@ -135,7 +142,7 @@ impl Components {
 pub struct MemoStats {
     /// Number of formulas with a memoized satisfaction set.
     pub formulas: usize,
-    /// Whether the common-knowledge component structure is cached.
+    /// Whether this evaluator holds the common-knowledge components.
     pub components_cached: bool,
 }
 
@@ -533,10 +540,11 @@ impl<'u> Evaluator<'u> {
         Evaluator::with_class_cache(universe, interp, ClassCache::shared())
     }
 
-    /// Creates an evaluator whose `[P]`-partitions come from a shared
-    /// [`ClassCache`] — fresh evaluators over the same universe then skip
-    /// the partition rebuild entirely (the cache self-invalidates when
-    /// the universe's [`generation`](Universe::generation) changes).
+    /// Creates an evaluator whose `[P]`-partitions and components come
+    /// from a shared [`ClassCache`] — fresh evaluators over the same
+    /// universe then skip the partition rebuild entirely (the cache
+    /// self-invalidates when the universe's
+    /// [`generation`](Universe::generation) changes).
     #[must_use]
     pub fn with_class_cache(
         universe: &'u Universe,
@@ -681,11 +689,39 @@ impl<'u> Evaluator<'u> {
         orbits: &'u Orbits,
         policy: QuotientPolicy,
     ) -> Self {
+        let plain = Evaluator::new(universe, interp);
+        let cache = Arc::clone(plain.iso.cache());
         Evaluator {
-            sym: Some(OrbitIndex::new(universe, orbits)),
+            sym: Some(OrbitIndex::with_cache(universe, orbits, cache)),
             policy,
-            ..Evaluator::new(universe, interp)
+            ..plain
         }
+    }
+
+    /// Reads and builds every structure this evaluator needs — `[P]`-
+    /// and orbit partitions, components, the orbit-expanded universe
+    /// with its partitions and dependent atoms — in `cache` instead of
+    /// the evaluator's own, so each is built once for all evaluators
+    /// sharing it. Without this an orbit-aware evaluator builds its own.
+    ///
+    /// For an orbit-aware evaluator, share `cache` only under the
+    /// [`SatCache`] sharing contract (same interpretation, orbits and
+    /// policy over this snapshot): the cache's entries are keyed by
+    /// universe generation alone. The query service holds one cache per
+    /// registered snapshot.
+    #[must_use]
+    pub fn with_structures(mut self, cache: Arc<ClassCache>) -> Self {
+        if let Some(orbit) = &self.sym {
+            self.sym = Some(OrbitIndex::with_cache(
+                self.universe,
+                orbit.orbits(),
+                Arc::clone(&cache),
+            ));
+        }
+        self.iso = IsoIndex::with_cache(self.universe, cache);
+        self.components = None;
+        self.expansion = None;
+        self
     }
 
     /// Attaches a cross-evaluator [`SatCache`], pinning the universe's
@@ -723,6 +759,11 @@ impl<'u> Evaluator<'u> {
     #[must_use]
     pub fn iso(&self) -> &IsoIndex<'u> {
         &self.iso
+    }
+
+    /// The cache this evaluator's structures live in.
+    fn structures(&self) -> &ClassCache {
+        self.iso.cache()
     }
 
     /// The orbit structure, when this evaluator is orbit-aware
@@ -857,9 +898,12 @@ impl<'u> Evaluator<'u> {
         // detach the expansion state so the recursion may re-enter
         // `try_sat_shared` (for invariant subtrees) without aliasing it
         let mut st = self.expansion.take().unwrap_or_else(|| ExpansionState {
-            xu: ExpandedUniverse::new(orbits),
+            xu: self.structures().get_or_build(
+                self.universe.generation(),
+                Structure::Expanded,
+                || ExpandedUniverse::new(orbits),
+            ),
             xmemo: HashMap::new(),
-            components: None,
         });
         let v = Expanded {
             ev: self,
@@ -873,24 +917,26 @@ impl<'u> Evaluator<'u> {
     }
 
     /// Public view of the common-knowledge components (for diagnostics and
-    /// the reproduction report): the component label of each computation.
+    /// the reproduction report): the component label of each computation,
+    /// components numbered by their first member.
     pub fn common_knowledge_components(&mut self) -> Vec<u32> {
-        common_components(self).labels.clone()
+        self.components().labels().to_vec()
     }
 
     /// Clears **all** memoized state: the formula→satisfaction-set memo
-    /// *and* the cached common-knowledge component structure (e.g.
-    /// between parameter sweeps that reuse the evaluator with logically
-    /// fresh atoms).
+    /// *and* this evaluator's hold on the common-knowledge components
+    /// (e.g. between parameter sweeps that reuse the evaluator with
+    /// logically fresh atoms). The [`ClassCache`]'s structures stay:
+    /// they depend on the universe, its orbits and the interpretation,
+    /// none of which an evaluator can change.
     pub fn clear_memo(&mut self) {
         self.memo.clear();
         self.components = None;
         if let Some(st) = &mut self.expansion {
             // the virtual universe is determined by the orbits and may
-            // stay; its formula memo and components are logically part
-            // of the memo cleared above
+            // stay; its formula memo is logically part of the memo
+            // cleared above
             st.xmemo.clear();
-            st.components = None;
         }
     }
 
@@ -918,17 +964,17 @@ trait Frame {
     fn sat(&mut self, f: &Formula) -> Result<Arc<CompSet>, CoreError>;
     /// The members at which an atom holds.
     fn atom(&self, id: AtomId) -> CompSet;
-    /// Calls `visit(test, members)` once per `[P]`-class: `P knows b`
-    /// holds at `members` iff `b` holds throughout `test`.
-    fn classes(&self, p: ProcessSet, visit: impl FnMut(&CompSet, &CompSet));
-    /// The frame's cached common-knowledge components.
-    fn components(&mut self) -> &mut Option<Components>;
+    /// The members whose `[P]`-class passes `test` against `sat`: the
+    /// label kernel over the frame's `[P]`-partition.
+    fn knowing(&self, p: ProcessSet, sat: &CompSet, test: Test) -> CompSet;
+    /// The frame's common-knowledge components.
+    fn components(&mut self) -> Arc<Classes>;
 }
 
 /// The satisfaction set of `f` over `frame`: booleans are word-parallel
-/// set algebra, `P knows b` keeps the `[P]`-classes whose test set
-/// satisfies `b`, and `C b` keeps the components of `⋃ₚ [p]` that
-/// satisfy `b` throughout.
+/// set algebra, `P knows b` and `P sure b` are one kernel call on the
+/// `[P]`-labels, `E b` one per process, and `C b` one on the components
+/// of `⋃ₚ [p]`.
 fn satisfy<F: Frame>(frame: &mut F, f: &Formula) -> Result<CompSet, CoreError> {
     let n = frame.len();
     Ok(match f {
@@ -970,56 +1016,27 @@ fn satisfy<F: Frame>(frame: &mut F, f: &Formula) -> Result<CompSet, CoreError> {
         }
         Formula::Knows(p, g) => {
             let sg = frame.sat(g)?;
-            knows(frame, *p, |test| test.is_subset(&sg))
+            frame.knowing(*p, &sg, Test::Knows)
         }
         Formula::Sure(p, g) => {
             // (P knows g) ∨ (P knows ¬g): g is constant on the test set
             let sg = frame.sat(g)?;
-            knows(frame, *p, |test| {
-                test.is_subset(&sg) || !test.intersects(&sg)
-            })
+            frame.knowing(*p, &sg, Test::Sure)
         }
         Formula::Everyone(g) => {
             let sg = frame.sat(g)?;
             let mut s = CompSet::full(n);
-            for pi in 0..frame.system_size() {
-                let p = ProcessSet::singleton(ProcessId::new(pi));
-                s.intersect_with(&knows(frame, p, |test| test.is_subset(&sg)));
+            for p in singletons(frame.system_size()) {
+                s.intersect_with(&frame.knowing(p, &sg, Test::Knows));
             }
             s
         }
         Formula::Common(g) => {
             // a component satisfies iff all its members do
             let sg = frame.sat(g)?;
-            let mut s = CompSet::new(n);
-            for set in &common_components(frame).sets {
-                if set.is_subset(&sg) {
-                    s.union_with(set);
-                }
-            }
-            s
+            verdicts(&*frame.components(), &sg, Test::Knows)
         }
     })
-}
-
-/// The members of every `[P]`-class whose test set passes `holds`.
-fn knows<F: Frame>(frame: &F, p: ProcessSet, holds: impl Fn(&CompSet) -> bool) -> CompSet {
-    let mut s = CompSet::new(frame.len());
-    frame.classes(p, |test, members| {
-        if holds(test) {
-            s.union_with(members);
-        }
-    });
-    s
-}
-
-/// The frame's common-knowledge components, built on first use.
-fn common_components<F: Frame>(frame: &mut F) -> &Components {
-    if frame.components().is_none() {
-        let built = Components::build(frame);
-        *frame.components() = Some(built);
-    }
-    frame.components().as_ref().expect("just built")
 }
 
 /// The evaluator's own universe. Plain, each class of the [`IsoIndex`]
@@ -1049,33 +1066,63 @@ impl Frame for Evaluator<'_> {
         s
     }
 
-    fn classes(&self, p: ProcessSet, mut visit: impl FnMut(&CompSet, &CompSet)) {
-        if let Some(orbit) = &self.sym {
-            let classes = orbit.classes(p);
-            for class in 0..classes.class_count() {
-                visit(classes.orbit_set(class), classes.member_set(class));
-            }
-        } else {
-            let classes = self.iso.classes(p);
-            for class in 0..classes.class_count() {
-                visit(classes.member_set(class), classes.member_set(class));
-            }
+    fn knowing(&self, p: ProcessSet, sat: &CompSet, test: Test) -> CompSet {
+        match &self.sym {
+            Some(orbit) => verdicts(&*orbit.classes(p), sat, test),
+            None => verdicts(&*self.iso.classes(p), sat, test),
         }
     }
 
-    fn components(&mut self) -> &mut Option<Components> {
-        &mut self.components
+    fn components(&mut self) -> Arc<Classes> {
+        if let Some(c) = &self.components {
+            return Arc::clone(c);
+        }
+        let (n, processes) = (self.len(), self.system_size());
+        let generation = self.universe.generation();
+        let c = match &self.sym {
+            Some(orbit) => {
+                self.structures()
+                    .get_or_build(generation, Structure::OrbitComponents, || {
+                        component_labels(n, singletons(processes).map(|p| orbit.classes(p)))
+                    })
+            }
+            None => self
+                .structures()
+                .get_or_build(generation, Structure::Components, || {
+                    component_labels(n, singletons(processes).map(|p| self.iso.classes(p)))
+                }),
+        };
+        self.components = Some(Arc::clone(&c));
+        c
     }
 }
 
 /// The orbit-expanded virtual universe: one member per distinct
 /// relabeling `π·r`, with the full universe's `[P]`-classes. Its memo
 /// holds virtual sets; an invariant subtree instead takes the quotient
-/// fast path and lifts the representatives' verdict.
+/// fast path and lifts the representatives' verdict. Its partitions,
+/// components and dependent atoms are entries of the evaluator's
+/// [`ClassCache`].
 struct Expanded<'a, 'u> {
     ev: &'a mut Evaluator<'u>,
     st: &'a mut ExpansionState,
     orbits: &'u Orbits,
+}
+
+impl Expanded<'_, '_> {
+    /// A structure over the virtual members, from the evaluator's cache.
+    fn cached<T: Resident>(&self, key: Structure, build: impl FnOnce() -> T) -> Arc<T> {
+        self.ev
+            .structures()
+            .get_or_build(self.ev.universe.generation(), key, build)
+    }
+
+    /// The full universe's `[P]`-partition over the virtual members.
+    fn partition(&self, p: ProcessSet) -> Arc<Classes> {
+        self.cached(Structure::ExpandedPartition(p.bits()), || {
+            self.st.xu.classes(self.orbits, p)
+        })
+    }
 }
 
 impl Frame for Expanded<'_, '_> {
@@ -1103,33 +1150,33 @@ impl Frame for Expanded<'_, '_> {
 
     fn atom(&self, id: AtomId) -> CompSet {
         // a relabeling-dependent atom: materialize each virtual member
-        // π·r and ask the closure directly
-        let mut s = CompSet::new(self.st.xu.len());
-        for vid in 0..self.st.xu.len() {
-            let (rid, ei) = self.st.xu.member(vid);
-            let c = self.ev.universe.get(CompId::from_index(rid));
-            let holds = if ei == 0 {
-                self.ev.interp.eval(id, c)
-            } else {
-                self.ev
-                    .interp
-                    .eval(id, &c.permuted(&self.orbits.elements()[ei]))
-            };
-            if holds {
-                s.insert(vid);
-            }
-        }
-        s
+        // π·r and ask the closure directly, once per cache
+        let set = self.cached(Structure::ExpandedAtom(id), || {
+            let xu = &self.st.xu;
+            CompSet::from_fn(xu.len(), |vid| {
+                let (rid, ei) = xu.member(vid);
+                let c = self.ev.universe.get(CompId::from_index(rid));
+                if ei == 0 {
+                    self.ev.interp.eval(id, c)
+                } else {
+                    self.ev
+                        .interp
+                        .eval(id, &c.permuted(&self.orbits.elements()[ei]))
+                }
+            })
+        });
+        CompSet::clone(&set)
     }
 
-    fn classes(&self, p: ProcessSet, mut visit: impl FnMut(&CompSet, &CompSet)) {
-        for set in self.st.xu.member_sets(self.orbits, p).iter() {
-            visit(set, set);
-        }
+    fn knowing(&self, p: ProcessSet, sat: &CompSet, test: Test) -> CompSet {
+        verdicts(&*self.partition(p), sat, test)
     }
 
-    fn components(&mut self) -> &mut Option<Components> {
-        &mut self.st.components
+    fn components(&mut self) -> Arc<Classes> {
+        let (n, processes) = (self.len(), self.system_size());
+        self.cached(Structure::ExpandedComponents, || {
+            component_labels(n, singletons(processes).map(|p| self.partition(p)))
+        })
     }
 }
 
@@ -1153,18 +1200,10 @@ impl Dsu {
         x
     }
 
-    /// Puts every member of `class` into one component, hanging each
-    /// member's root directly under the first member's root.
-    fn chain(&mut self, class: impl IntoIterator<Item = usize>) {
-        let mut root: Option<usize> = None;
-        for i in class {
-            let ri = self.find(i);
-            match root {
-                Some(r) if r != ri => self.parent[ri] = r,
-                Some(_) => {}
-                None => root = Some(ri),
-            }
-        }
+    /// Joins `b`'s component into `a`'s.
+    fn union(&mut self, a: usize, b: usize) {
+        let (ra, rb) = (self.find(a), self.find(b));
+        self.parent[rb] = ra;
     }
 }
 

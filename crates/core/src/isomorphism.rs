@@ -5,32 +5,80 @@
 //! `[P₀ … Pₙ] = [P₀] ∘ … ∘ [Pₙ]`.
 //!
 //! [`IsoIndex`] materializes, per process set `P`, the partition of a
-//! [`Universe`] into `[P]`-equivalence classes (cached), from which
-//! composed relations are evaluated by breadth-first closure over classes.
+//! [`Universe`] into `[P]`-equivalence classes as one class label per
+//! member (cached), from which composed relations are evaluated one
+//! label pass per step.
+//!
+//! Knowledge needs no more than the labels. `(P knows b) at x` asks one
+//! question of `x`'s class — does `b` hold throughout it? — so one pass
+//! over the members flags each class that meets `b` and each that
+//! misses it, and a second pass reads every member's verdict off its
+//! class's flags. That label kernel answers `K`, `Sure`, `E` and `C` on
+//! every frame the evaluator ranges over; on a symmetry quotient a
+//! member's relabelings also flag the classes they land in
+//! ([`OrbitClasses`](crate::OrbitClasses)).
 //!
 //! The module also provides executable checkers for the paper's ten
 //! algebraic properties of isomorphism relations ([`properties`]).
 
 use crate::bitset::CompSet;
+use crate::formula::AtomId;
 use crate::universe::{CompId, GrowthMap, Universe};
 use hpl_model::ProcessSet;
 use parking_lot::Mutex;
+use std::any::Any;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Sentinel for "not yet assigned" in the grow pass's tag arrays.
 const UNASSIGNED: u32 = u32::MAX;
 
-/// The `[P]`-partition of a universe: each computation's class, and each
-/// class's members.
-#[derive(Clone, Debug)]
+/// The `[P]`-partition of a universe: one class label per computation,
+/// classes numbered in order of their first member. No class stores
+/// its members; [`Classes::member_set`] collects them on request with
+/// one pass over the labels.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Classes {
     class_of: Vec<u32>,
-    members: Vec<Vec<u32>>,
-    member_sets: Vec<CompSet>,
+    count: usize,
 }
 
 impl Classes {
+    /// Labels members `0..n` by the key `key_of` appends for each:
+    /// members with equal keys share a class. Returns the key table
+    /// too, for callers that look further keys up in it.
+    pub(crate) fn by_key(
+        n: usize,
+        mut key_of: impl FnMut(usize, &mut Vec<u64>),
+    ) -> (Self, HashMap<Vec<u64>, u32>) {
+        let mut table: HashMap<Vec<u64>, u32> = HashMap::new();
+        let mut class_of = Vec::with_capacity(n);
+        // one key buffer for every member; a key is copied only when it
+        // opens a class
+        let mut key = Vec::new();
+        for i in 0..n {
+            key.clear();
+            key_of(i, &mut key);
+            let next = table.len() as u32;
+            let class = match table.get(&key) {
+                Some(&class) => class,
+                None => {
+                    table.insert(key.clone(), next);
+                    next
+                }
+            };
+            class_of.push(class);
+        }
+        let count = table.len();
+        (Classes { class_of, count }, table)
+    }
+
+    /// Wraps labels already numbered `0..count`.
+    pub(crate) fn from_labels(class_of: Vec<u32>, count: usize) -> Self {
+        Classes { class_of, count }
+    }
+
     /// The class index of a computation.
     #[must_use]
     pub fn class_of(&self, c: CompId) -> usize {
@@ -40,19 +88,13 @@ impl Classes {
     /// Number of equivalence classes.
     #[must_use]
     pub fn class_count(&self) -> usize {
-        self.members.len()
+        self.count
     }
 
-    /// Member ids of a class.
+    /// Member set of a class, collected by one pass over the labels.
     #[must_use]
-    pub fn members(&self, class: usize) -> &[u32] {
-        &self.members[class]
-    }
-
-    /// Member set of a class, as a bit-set over the universe.
-    #[must_use]
-    pub fn member_set(&self, class: usize) -> &CompSet {
-        &self.member_sets[class]
+    pub fn member_set(&self, class: usize) -> CompSet {
+        CompSet::from_fn(self.class_of.len(), |i| self.class_of[i] as usize == class)
     }
 
     /// Tests whether two computations are in the same class.
@@ -60,6 +102,95 @@ impl Classes {
     pub fn same_class(&self, x: CompId, y: CompId) -> bool {
         self.class_of[x.index()] == self.class_of[y.index()]
     }
+
+    /// The first class (by index) that `sat` splits: some of its
+    /// members are in `sat` and some are not. `None` when `sat` is a
+    /// union of classes.
+    #[must_use]
+    pub fn first_mixed(&self, sat: &CompSet) -> Option<usize> {
+        class_flags(self, sat)
+            .iter()
+            .position(|&flags| flags == MEETS | MISSES)
+    }
+}
+
+/// What a knowledge operator asks of each class's test set.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Test {
+    /// `b` holds throughout: `P knows b`, and `C b` over components.
+    Knows,
+    /// `b` is constant: `P sure b`.
+    Sure,
+    /// `b` holds somewhere: one step of a composed relation.
+    Meets,
+}
+
+impl Test {
+    /// Whether a class passes, indexed by its [`class_flags`].
+    fn passes(self) -> [bool; 4] {
+        match self {
+            Test::Knows => [true, true, false, false],
+            Test::Sure => [true, true, true, false],
+            Test::Meets => [false, true, false, true],
+        }
+    }
+}
+
+/// A partition the label kernel reads: each member's class, and the
+/// classes whose test set holds each member. On a plain frame a class
+/// tests exactly its members; on a symmetry quotient a representative
+/// also tests every class one of its relabelings lands in.
+pub(crate) trait Labels {
+    /// The class of every member, in member order.
+    fn labels(&self) -> &[u32];
+    /// Number of classes.
+    fn class_count(&self) -> usize;
+    /// The classes whose test set holds `member`.
+    fn tests_of(&self, member: usize) -> &[u32];
+}
+
+impl Labels for Classes {
+    fn labels(&self) -> &[u32] {
+        &self.class_of
+    }
+
+    fn class_count(&self) -> usize {
+        self.count
+    }
+
+    fn tests_of(&self, member: usize) -> &[u32] {
+        std::slice::from_ref(&self.class_of[member])
+    }
+}
+
+/// [`class_flags`] bit: some test member is in the set.
+const MEETS: u8 = 1;
+/// [`class_flags`] bit: some test member is outside the set.
+const MISSES: u8 = 2;
+
+/// The kernel's first pass: per class, whether its test set meets
+/// `sat` and whether it misses it.
+fn class_flags<L: Labels>(part: &L, sat: &CompSet) -> Vec<u8> {
+    let mut flags = vec![0u8; part.class_count()];
+    for member in 0..part.labels().len() {
+        let bit = if sat.contains(member) { MEETS } else { MISSES };
+        for &class in part.tests_of(member) {
+            flags[class as usize] |= bit;
+        }
+    }
+    flags
+}
+
+/// The label kernel: the members whose class's test set passes `test`
+/// against `sat`. One pass flags the classes, a second reads each
+/// member's verdict off its class.
+pub(crate) fn verdicts<L: Labels>(part: &L, sat: &CompSet, test: Test) -> CompSet {
+    let flags = class_flags(part, sat);
+    let passes = test.passes();
+    let labels = part.labels();
+    CompSet::from_fn(labels.len(), |member| {
+        passes[usize::from(flags[labels[member] as usize])]
+    })
 }
 
 /// Cached isomorphism-class index over a universe.
@@ -95,16 +226,32 @@ pub struct IsoIndex<'u> {
     cache: Arc<ClassCache>,
 }
 
-/// A shareable `[P]`-partition cache, keyed by the universe *generation*
-/// it was built from ([`Universe::generation`]). Partitions depend only
-/// on the universe's membership, so one cache can back any number of
-/// [`IsoIndex`]es / [`Evaluator`](crate::Evaluator)s over the same
-/// universe — a fresh evaluator per query round stops paying the
-/// partition-rebuild cost. The cache retains partitions for the most
-/// recent [`MAX_CACHED_GENERATIONS`] universe states it has served, so
-/// it may be shared across a handful of live universes (or a universe
-/// that grows) without thrashing; touching a generation beyond that
-/// window evicts the least recently served one.
+/// A shareable cache of the structures knowledge evaluation reads,
+/// keyed by the universe *generation* they were built from
+/// ([`Universe::generation`]): `[P]`-partitions and common-knowledge
+/// components, and for an orbit-aware [`Evaluator`](crate::Evaluator)
+/// also its orbit partitions and the orbit-expanded universe with its
+/// partitions and relabeling-dependent atoms. Each is built on first
+/// request, once however many threads ask for it, and then shared by
+/// `Arc`. Partitions and components are labels (a `u32` per member,
+/// plus an orbit partition's landing lists), so one costs `O(|U|)`
+/// whatever its class count.
+///
+/// Partitions and plain components depend only on the universe's
+/// membership, so one cache can back any number of [`IsoIndex`]es /
+/// [`Evaluator`](crate::Evaluator)s over the same universe — a fresh
+/// evaluator per query round stops paying the partition-rebuild cost.
+/// What an orbit-aware evaluator adds also depends on its orbits and,
+/// for the dependent atoms, its interpretation: attach a cache to one
+/// ([`Evaluator::with_structures`](crate::Evaluator::with_structures))
+/// only under the [`SatCache`](crate::SatCache) sharing contract (the
+/// query service holds one cache per snapshot).
+///
+/// The cache retains structures for the most recent
+/// [`MAX_CACHED_GENERATIONS`] universe states it has served, so it may
+/// be shared across a handful of live universes (or a universe that
+/// grows) without thrashing; touching a generation beyond that window
+/// evicts the least recently served one.
 ///
 /// # Example
 ///
@@ -125,29 +272,103 @@ pub struct IsoIndex<'u> {
 /// let f = Formula::knows(ProcessSet::singleton(ProcessId::new(0)), Formula::atom(sent));
 /// // both evaluators reuse the same partitions:
 /// let s1 = Evaluator::with_class_cache(&u, &interp, cache.clone()).sat_set(&f);
-/// let s2 = Evaluator::with_class_cache(&u, &interp, cache).sat_set(&f);
+/// let s2 = Evaluator::with_class_cache(&u, &interp, cache.clone()).sat_set(&f);
 /// assert_eq!(s1, s2);
+/// assert_eq!(cache.len(), 1);
+/// assert_eq!(cache.stats().builds, 1);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Default)]
 pub struct ClassCache {
     inner: Mutex<CacheInner>,
+    builds: AtomicU64,
 }
 
 /// How many distinct universe states a [`ClassCache`] retains partitions
 /// for before evicting the least recently served one.
 pub const MAX_CACHED_GENERATIONS: usize = 4;
 
+/// What a [`ClassCache`] entry holds for its generation; partitions
+/// are keyed by `ProcessSet::bits`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub(crate) enum Structure {
+    /// The `[P]`-partition of the universe ([`Classes`]).
+    Partition(u128),
+    /// The common-knowledge components of the universe.
+    Components,
+    /// The orbit-aware `[P]`-partition of a quotient universe
+    /// ([`OrbitClasses`](crate::OrbitClasses)).
+    OrbitPartition(u128),
+    /// The common-knowledge components of the representatives.
+    OrbitComponents,
+    /// The orbit-expanded virtual universe.
+    Expanded,
+    /// The `[P]`-partition of the expanded universe's members.
+    ExpandedPartition(u128),
+    /// The common-knowledge components of the expanded members.
+    ExpandedComponents,
+    /// A relabeling-dependent atom's set over the expanded members.
+    ExpandedAtom(AtomId),
+}
+
+/// A structure a [`ClassCache`] keeps.
+pub(crate) trait Resident: Any + Send + Sync {
+    /// Bytes the structure holds, headers included.
+    fn resident_bytes(&self) -> usize;
+}
+
+impl Resident for Classes {
+    fn resident_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + std::mem::size_of_val(self.class_of.as_slice())
+    }
+}
+
+impl Resident for CompSet {
+    fn resident_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + std::mem::size_of_val(self.words())
+    }
+}
+
+/// A built structure and its size.
+#[derive(Debug)]
+struct Built {
+    value: Arc<dyn Any + Send + Sync>,
+    bytes: usize,
+}
+
+/// One cache entry: built at most once, by whichever thread asks first,
+/// while every other asker of the same entry waits for it.
+type Slot = Arc<OnceLock<Built>>;
+
 #[derive(Debug, Default)]
 struct CacheInner {
     /// Generations currently cached, most recently served last.
     recent: Vec<u64>,
-    map: HashMap<(u64, u128), Arc<Classes>>,
+    map: HashMap<(u64, Structure), Slot>,
     /// Growth edges between cached universe states
     /// ([`ClassCache::note_growth`]): a partition miss for `to` rebuilds
     /// incrementally from `from`'s cached partition instead of cold.
     links: Vec<GrowthLink>,
+}
+
+impl CacheInner {
+    /// Moves `generation` to the back of the window, opening it if it
+    /// is new and evicting the least recently served generation's
+    /// entries and links when the window overflows.
+    fn serve(&mut self, generation: u64) {
+        if let Some(i) = self.recent.iter().position(|&g| g == generation) {
+            let g = self.recent.remove(i);
+            self.recent.push(g);
+            return;
+        }
+        self.recent.push(generation);
+        if self.recent.len() > MAX_CACHED_GENERATIONS {
+            let evicted = self.recent.remove(0);
+            self.map.retain(|&(g, _), _| g != evicted);
+            self.links.retain(|l| l.from != evicted && l.to != evicted);
+        }
+    }
 }
 
 /// One recorded growth edge (see [`ClassCache::note_growth`]).
@@ -159,6 +380,19 @@ struct GrowthLink {
     map: Arc<Vec<u32>>,
 }
 
+/// Occupancy and build counters of a [`ClassCache`], for the query
+/// service's metrics snapshot and tests.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct ClassCacheStats {
+    /// Structures currently retained, over every cached generation.
+    pub structures: usize,
+    /// Bytes the retained structures hold.
+    pub resident_bytes: usize,
+    /// Structures built so far. Each is built once per generation that
+    /// asks for it while the generation stays in the window.
+    pub builds: u64,
+}
+
 impl ClassCache {
     /// Creates an empty cache behind an [`Arc`], ready to be shared.
     #[must_use]
@@ -166,16 +400,42 @@ impl ClassCache {
         Arc::new(ClassCache::default())
     }
 
-    /// Number of cached partitions (for diagnostics and tests).
+    /// Number of cached `[P]`-partitions of the universe (for
+    /// diagnostics and tests); the other structures are counted by
+    /// [`ClassCache::stats`].
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.inner
+            .lock()
+            .map
+            .iter()
+            .filter(|((_, s), slot)| matches!(s, Structure::Partition(_)) && slot.get().is_some())
+            .count()
     }
 
     /// Returns `true` if no partition is cached.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The retained structures, the bytes they hold and how many were
+    /// built.
+    #[must_use]
+    pub fn stats(&self) -> ClassCacheStats {
+        let (structures, resident_bytes) = {
+            let inner = self.inner.lock();
+            inner
+                .map
+                .values()
+                .filter_map(|slot| slot.get())
+                .fold((0, 0), |(n, bytes), b| (n + 1, bytes + b.bytes))
+        };
+        ClassCacheStats {
+            structures,
+            resident_bytes,
+            builds: self.builds.load(Ordering::Relaxed),
+        }
     }
 
     /// The universe generations this cache currently retains partitions
@@ -196,6 +456,8 @@ impl ClassCache {
     /// per member) — rather than rebuilding from scratch. Links are
     /// bounded like partitions: at most [`MAX_CACHED_GENERATIONS`] are
     /// retained, and links touching an evicted generation die with it.
+    /// Nothing else carries over: a grown generation builds its other
+    /// structures afresh.
     pub fn note_growth(&self, growth: &GrowthMap) {
         let mut inner = self.inner.lock();
         let link = GrowthLink {
@@ -210,64 +472,46 @@ impl ClassCache {
         }
     }
 
-    /// Fetches the `[P]`-partition for `universe`, building it with
-    /// `build` on a miss. Partitions of up to [`MAX_CACHED_GENERATIONS`]
-    /// universe states are kept; serving a generation beyond the window
-    /// evicts the least recently served one's entries.
-    fn get_or_build(
+    /// Fetches the `key` structure of `generation`, building it with
+    /// `build` on a miss. Serving a generation beyond the window evicts
+    /// the least recently served one's entries. The cache's lock is not
+    /// held while `build` runs, so `build` may fetch other entries; a
+    /// concurrent request for the same entry waits for this build.
+    pub(crate) fn get_or_build<T: Resident>(
         &self,
-        universe: &Universe,
-        p: ProcessSet,
-        build: impl FnOnce() -> Classes,
-        grow: impl FnOnce(&Classes, &[u32]) -> Classes,
-    ) -> Arc<Classes> {
-        let generation = universe.generation();
-        let mut inner = self.inner.lock();
-        match inner.recent.iter().position(|&g| g == generation) {
-            Some(i) => {
-                // keep the LRU order current
-                let g = inner.recent.remove(i);
-                inner.recent.push(g);
-            }
-            None => {
-                inner.recent.push(generation);
-                if inner.recent.len() > MAX_CACHED_GENERATIONS {
-                    let evicted = inner.recent.remove(0);
-                    inner.map.retain(|&(g, _), _| g != evicted);
-                    inner.links.retain(|l| l.from != evicted && l.to != evicted);
-                }
-            }
-        }
-        if let Some(c) = inner.map.get(&(generation, p.bits())) {
-            hpl_telemetry::counter_add("eval.class_cache_hit", 1);
-            return Arc::clone(c);
-        }
-        // a recorded growth edge into this generation whose source
-        // partition is still cached → incremental rebuild
-        let source = inner
-            .links
-            .iter()
-            .find(|l| l.to == generation)
-            .and_then(|l| {
-                inner
-                    .map
-                    .get(&(l.from, p.bits()))
-                    .map(|c| (Arc::clone(c), Arc::clone(&l.map)))
-            });
-        let classes = Arc::new(match source {
-            Some((old, map)) => {
-                hpl_telemetry::counter_add("eval.class_cache_grow", 1);
-                grow(&old, &map)
-            }
-            None => {
-                hpl_telemetry::counter_add("eval.class_cache_miss", 1);
-                build()
+        generation: u64,
+        key: Structure,
+        build: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        let slot = {
+            let mut inner = self.inner.lock();
+            inner.serve(generation);
+            Arc::clone(inner.map.entry((generation, key)).or_default())
+        };
+        let built = slot.get_or_init(|| {
+            let value = build();
+            self.builds.fetch_add(1, Ordering::Relaxed);
+            Built {
+                bytes: value.resident_bytes(),
+                value: Arc::new(value),
             }
         });
-        inner
+        Arc::clone(&built.value)
+            .downcast()
+            .unwrap_or_else(|_| panic!("{key:?} holds one structure type"))
+    }
+
+    /// The cached partition of `p` that a recorded growth edge into
+    /// `generation` starts from, with the edge's member map.
+    fn grown_from(&self, generation: u64, p: ProcessSet) -> Option<(Arc<Classes>, Arc<Vec<u32>>)> {
+        let inner = self.inner.lock();
+        let link = inner.links.iter().find(|l| l.to == generation)?;
+        let source = inner
             .map
-            .insert((generation, p.bits()), Arc::clone(&classes));
-        classes
+            .get(&(link.from, Structure::Partition(p.bits())))?
+            .get()?;
+        let classes = Arc::clone(&source.value).downcast().ok()?;
+        Some((classes, Arc::clone(&link.map)))
     }
 }
 
@@ -293,53 +537,45 @@ impl<'u> IsoIndex<'u> {
         self.universe
     }
 
+    /// The cache this index reads and fills.
+    pub(crate) fn cache(&self) -> &Arc<ClassCache> {
+        &self.cache
+    }
+
     /// The `[P]`-partition (cached; rebuilt incrementally when the cache
     /// holds the source partition of a recorded growth edge — see
     /// [`ClassCache::note_growth`]).
     #[must_use]
     pub fn classes(&self, p: ProcessSet) -> Arc<Classes> {
-        self.cache.get_or_build(
-            self.universe,
-            p,
-            || self.build_classes(p),
-            |old, map| self.grow_classes(p, old, map),
-        )
+        let generation = self.universe.generation();
+        let mut built = false;
+        let classes = self
+            .cache
+            .get_or_build(generation, Structure::Partition(p.bits()), || {
+                built = true;
+                match self.cache.grown_from(generation, p) {
+                    Some((old, map)) => {
+                        hpl_telemetry::counter_add("eval.class_cache_grow", 1);
+                        self.grow_classes(p, &old, &map)
+                    }
+                    None => {
+                        hpl_telemetry::counter_add("eval.class_cache_miss", 1);
+                        self.build_classes(p)
+                    }
+                }
+            });
+        if !built {
+            hpl_telemetry::counter_add("eval.class_cache_hit", 1);
+        }
+        classes
     }
 
     fn build_classes(&self, p: ProcessSet) -> Classes {
-        let n = self.universe.len();
-        let mut key_to_class: HashMap<Vec<u64>, u32> = HashMap::new();
-        let mut class_of = vec![0u32; n];
-        let mut members: Vec<Vec<u32>> = Vec::new();
-        let mut member_sets: Vec<CompSet> = Vec::new();
-
-        // one pass: reuse the signature buffer across computations and
-        // only allocate a key when a new class is discovered; member
-        // lists and bit-sets are filled as we go.
-        let mut key: Vec<u64> = Vec::new();
-        for (id, c) in self.universe.iter() {
-            key.clear();
-            projection_signature_into(&mut key, c.events(), p.iter());
-            let class = match key_to_class.get(&key) {
-                Some(&class) => class,
-                None => {
-                    let class = members.len() as u32;
-                    key_to_class.insert(key.clone(), class);
-                    members.push(Vec::new());
-                    member_sets.push(CompSet::new(n));
-                    class
-                }
-            };
-            class_of[id.index()] = class;
-            members[class as usize].push(id.index() as u32);
-            member_sets[class as usize].insert(id.index());
-        }
-
-        Classes {
-            class_of,
-            members,
-            member_sets,
-        }
+        Classes::by_key(self.universe.len(), |i, key| {
+            let c = self.universe.get(CompId::from_index(i));
+            projection_signature_into(key, c.events(), p.iter());
+        })
+        .0
     }
 
     /// Rebuilds the `[P]`-partition after an in-place growth, diffing the
@@ -366,8 +602,6 @@ impl<'u> IsoIndex<'u> {
         let mut key_to_class: HashMap<Vec<u64>, u32> = HashMap::new();
         let mut old_to_new_class = vec![UNASSIGNED; old.class_count()];
         let mut class_of = vec![0u32; n];
-        let mut members: Vec<Vec<u32>> = Vec::new();
-        let mut member_sets: Vec<CompSet> = Vec::new();
         let mut key: Vec<u64> = Vec::new();
         for (id, c) in self.universe.iter() {
             let idx = id.index();
@@ -375,19 +609,17 @@ impl<'u> IsoIndex<'u> {
                 .then(|| old.class_of[image_of[idx] as usize] as usize)
                 .filter(|&ocl| old_to_new_class[ocl] != UNASSIGNED)
                 .map(|ocl| old_to_new_class[ocl]);
-            let class = match inherited {
+            class_of[idx] = match inherited {
                 Some(class) => class,
                 None => {
                     key.clear();
                     projection_signature_into(&mut key, c.events(), p.iter());
+                    let next = key_to_class.len() as u32;
                     let class = match key_to_class.get(&key) {
                         Some(&class) => class,
                         None => {
-                            let class = members.len() as u32;
-                            key_to_class.insert(key.clone(), class);
-                            members.push(Vec::new());
-                            member_sets.push(CompSet::new(n));
-                            class
+                            key_to_class.insert(key.clone(), next);
+                            next
                         }
                     };
                     if image_of[idx] != UNASSIGNED {
@@ -396,14 +628,10 @@ impl<'u> IsoIndex<'u> {
                     class
                 }
             };
-            class_of[idx] = class;
-            members[class as usize].push(idx as u32);
-            member_sets[class as usize].insert(idx);
         }
         Classes {
             class_of,
-            members,
-            member_sets,
+            count: key_to_class.len(),
         }
     }
 
@@ -417,26 +645,19 @@ impl<'u> IsoIndex<'u> {
     #[must_use]
     pub fn class_set(&self, x: CompId, p: ProcessSet) -> CompSet {
         let classes = self.classes(p);
-        classes.member_set(classes.class_of(x)).clone()
+        classes.member_set(classes.class_of(x))
     }
 
     /// The set of computations reachable from `x` through the composed
-    /// relation `[sets[0] … sets[n-1]]` (BFS over classes). For an empty
-    /// slice the result is `{x}` (the identity relation).
+    /// relation `[sets[0] … sets[n-1]]`, one label pass per step: the
+    /// next frontier is every member of a class the frontier meets. For
+    /// an empty slice the result is `{x}` (the identity relation).
     #[must_use]
     pub fn reachable(&self, x: CompId, sets: &[ProcessSet]) -> CompSet {
         let mut frontier = self.universe.empty_set();
         frontier.insert(x.index());
         for &p in sets {
-            let classes = self.classes(p);
-            let mut next = self.universe.empty_set();
-            for class in 0..classes.class_count() {
-                let mset = classes.member_set(class);
-                if mset.intersects(&frontier) {
-                    next.union_with(mset);
-                }
-            }
-            frontier = next;
+            frontier = verdicts(&*self.classes(p), &frontier, Test::Meets);
         }
         frontier
     }
@@ -946,11 +1167,7 @@ mod tests {
         for p in [ps(0), ps(1), ProcessSet::full(2), ProcessSet::EMPTY] {
             let a = inc.classes(p);
             let b = cold.classes(p);
-            assert_eq!(a.class_of, b.class_of, "class_of for {p}");
-            assert_eq!(a.members, b.members, "members for {p}");
-            for cl in 0..a.class_count() {
-                assert_eq!(a.member_set(cl), b.member_set(cl), "set {cl} for {p}");
-            }
+            assert_eq!(a, b, "partition of {p}");
         }
     }
 
@@ -1001,10 +1218,74 @@ mod tests {
             let classes = iso.classes(p);
             let mut seen = u.empty_set();
             for cl in 0..classes.class_count() {
-                assert!(!classes.member_set(cl).intersects(&seen), "disjoint");
-                seen.union_with(classes.member_set(cl));
+                let members = classes.member_set(cl);
+                assert!(!members.is_empty(), "class {cl} has a member");
+                assert!(!members.intersects(&seen), "disjoint");
+                seen.union_with(&members);
             }
             assert_eq!(seen.count(), u.len(), "classes cover the universe");
         }
+    }
+
+    #[test]
+    fn label_kernel_matches_the_definition() {
+        let (u, _) = two_indep();
+        let iso = IsoIndex::new(&u);
+        // every subset of the five members as `b`
+        for bits in 0u32..32 {
+            let sat = CompSet::from_fn(u.len(), |i| bits >> i & 1 == 1);
+            for p in [ps(0), ps(1), ProcessSet::full(2), ProcessSet::EMPTY] {
+                let classes = iso.classes(p);
+                let knows = verdicts(&*classes, &sat, Test::Knows);
+                let sure = verdicts(&*classes, &sat, Test::Sure);
+                let meets = verdicts(&*classes, &sat, Test::Meets);
+                for x in u.ids() {
+                    let class = iso.class_set(x, p);
+                    let i = x.index();
+                    assert_eq!(knows.contains(i), class.is_subset(&sat), "K at {x}");
+                    let mut outside = class.clone();
+                    outside.difference_with(&sat);
+                    assert_eq!(
+                        sure.contains(i),
+                        class.is_subset(&sat) || outside == class,
+                        "Sure at {x}"
+                    );
+                    assert_eq!(meets.contains(i), class.intersects(&sat), "meets at {x}");
+                }
+                let mixed = (0..classes.class_count()).find(|&k| {
+                    let members = classes.member_set(k);
+                    members.intersects(&sat) && !members.is_subset(&sat)
+                });
+                assert_eq!(classes.first_mixed(&sat), mixed);
+            }
+        }
+    }
+
+    #[test]
+    fn structures_are_built_once_and_counted() {
+        let (u, _) = two_indep();
+        let cache = ClassCache::shared();
+        let iso = IsoIndex::with_cache(&u, Arc::clone(&cache));
+        let a = iso.classes(ps(0));
+        let b = iso.classes(ps(0));
+        assert!(Arc::ptr_eq(&a, &b));
+        let _ = iso.classes(ps(1));
+        let stats = cache.stats();
+        assert_eq!(stats.builds, 2);
+        assert_eq!(stats.structures, 2);
+        assert_eq!(
+            stats.resident_bytes,
+            a.resident_bytes() + iso.classes(ps(1)).resident_bytes()
+        );
+        // concurrent askers of one new entry share one build
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    IsoIndex::with_cache(&u, Arc::clone(&cache)).classes(ProcessSet::full(2))
+                });
+            }
+        });
+        assert_eq!(cache.stats().builds, 3);
+        assert_eq!(cache.len(), 3);
     }
 }

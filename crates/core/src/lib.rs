@@ -108,7 +108,7 @@ pub use eval::{
 pub use fault_universe::{build_fault_universe, FaultModel, FaultStats, FaultUniverse};
 pub use formula::{AtomId, Formula, Interpretation};
 pub use fusion::{fuse_lemma1, fuse_theorem2, FusionError};
-pub use isomorphism::{ClassCache, IsoIndex};
+pub use isomorphism::{ClassCache, ClassCacheStats, IsoIndex};
 pub use parallel::{
     enumerate_sharded, extend_sharded, EnumerationStats, Frontier, ShardConfig, ShardedEnumeration,
     DEFAULT_BATCH_NODES, DEFAULT_MAX_BUFFERED_BATCHES,

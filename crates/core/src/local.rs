@@ -66,19 +66,12 @@ pub fn check_local_facts(
             if local {
                 let classes = eval.iso().classes(p);
                 let sat = eval.sat_set(b);
-                let mut counterexample = None;
-                for class in 0..classes.class_count() {
-                    let mset = classes.member_set(class);
-                    let inside = mset.iter().filter(|&i| sat.contains(i)).count();
-                    if inside != 0 && inside != mset.count() {
-                        counterexample = Some(format!("class {class} mixes values"));
-                        break;
-                    }
-                }
                 report.facts.push(FactResult {
                     name: format!("LP1: local predicate is [P]-invariant [P={p}]"),
                     checks: classes.class_count(),
-                    counterexample,
+                    counterexample: classes
+                        .first_mixed(&sat)
+                        .map(|class| format!("class {class} mixes values")),
                 });
 
                 // Fact 2: b local to P ⇒ (b ≡ P knows b).

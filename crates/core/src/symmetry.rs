@@ -37,8 +37,8 @@
 //! Over the quotient universe, `(P knows b) at x` must quantify over the
 //! *full* `[P]`-class of `x`, whose members are relabelings of stored
 //! representatives. [`OrbitIndex`] materializes, per process set `P`, the
-//! classes of the representatives *plus* the set of representatives any
-//! of whose relabelings falls into each class — exactly what
+//! class label of each representative *plus* the classes each
+//! representative's relabelings fall into — exactly what
 //! [`Evaluator::with_symmetry`](crate::Evaluator::with_symmetry) needs to
 //! answer knowledge and common-knowledge queries on the quotient with the
 //! same verdicts as the full universe (see that constructor's docs for
@@ -56,12 +56,13 @@
 use crate::bitset::CompSet;
 use crate::enumerate::ProtocolUniverse;
 use crate::error::CoreError;
-use crate::isomorphism::projection_signature_into;
+use crate::isomorphism::{
+    projection_signature_into, ClassCache, Classes, Labels, Resident, Structure,
+};
 use crate::universe::{CompId, Universe};
 use hpl_model::{Computation, Event, EventKind, MessageId, Permutation, ProcessId, ProcessSet};
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Marker for steps without a communication peer (internal events).
 const NO_PEER: u16 = u16::MAX;
@@ -529,55 +530,87 @@ impl Orbits {
 }
 
 /// The orbit-aware `[P]`-partition of a quotient universe: the classes of
-/// the stored representatives, plus — per class — the set of
-/// representatives any of whose relabelings lands in the class.
+/// the stored representatives, as labels, plus — per representative —
+/// the classes its relabelings land in. A class's *test set* is every
+/// representative one of whose relabelings lands in it: `P knows b`
+/// holds at the class iff `b` holds throughout that set, so the label
+/// kernel flags each class from the representatives' landing lists
+/// instead of storing either set.
 #[derive(Clone, Debug)]
 pub struct OrbitClasses {
-    class_of: Vec<u32>,
-    member_sets: Vec<CompSet>,
-    orbit_sets: Vec<CompSet>,
+    classes: Classes,
+    /// Representative `r`'s landing classes are
+    /// `lands[starts[r]..starts[r + 1]]`, ascending.
+    starts: Vec<u32>,
+    lands: Vec<u32>,
 }
 
 impl OrbitClasses {
     /// The class index of a representative.
     #[must_use]
     pub fn class_of(&self, c: CompId) -> usize {
-        self.class_of[c.index()] as usize
+        self.classes.class_of(c)
     }
 
     /// Number of classes.
     #[must_use]
     pub fn class_count(&self) -> usize {
-        self.member_sets.len()
+        self.classes.class_count()
     }
 
     /// The representatives in a class (the class as seen by the stored
-    /// quotient universe).
+    /// quotient universe), collected by one pass over the labels.
     #[must_use]
-    pub fn member_set(&self, class: usize) -> &CompSet {
-        &self.member_sets[class]
+    pub fn member_set(&self, class: usize) -> CompSet {
+        self.classes.member_set(class)
     }
 
     /// The representatives whose orbits intersect the class's full
     /// `[P]`-class: `P knows b` holds at the class iff `b` holds at every
-    /// member of this set.
+    /// member of this set. Collected by one pass over the landing lists.
     #[must_use]
-    pub fn orbit_set(&self, class: usize) -> &CompSet {
-        &self.orbit_sets[class]
+    pub fn orbit_set(&self, class: usize) -> CompSet {
+        let class = class as u32;
+        CompSet::from_fn(self.labels().len(), |r| self.tests_of(r).contains(&class))
     }
 }
 
-/// Cached orbit-aware class index over a quotient universe, the symmetry
-/// analogue of [`IsoIndex`](crate::IsoIndex).
+impl Labels for OrbitClasses {
+    fn labels(&self) -> &[u32] {
+        self.classes.labels()
+    }
+
+    fn class_count(&self) -> usize {
+        self.classes.class_count()
+    }
+
+    fn tests_of(&self, member: usize) -> &[u32] {
+        &self.lands[self.starts[member] as usize..self.starts[member + 1] as usize]
+    }
+}
+
+impl Resident for OrbitClasses {
+    fn resident_bytes(&self) -> usize {
+        self.classes.resident_bytes()
+            + std::mem::size_of_val(self.starts.as_slice())
+            + std::mem::size_of_val(self.lands.as_slice())
+    }
+}
+
+/// Orbit-aware class index over a quotient universe, the symmetry
+/// analogue of [`IsoIndex`](crate::IsoIndex): its partitions live in a
+/// [`ClassCache`], keyed by the universe's generation, so every index
+/// over one cache shares them.
 #[derive(Debug)]
 pub struct OrbitIndex<'u> {
     universe: &'u Universe,
     orbits: &'u Orbits,
-    cache: RefCell<HashMap<u128, Rc<OrbitClasses>>>,
+    cache: Arc<ClassCache>,
 }
 
 impl<'u> OrbitIndex<'u> {
-    /// Creates an index over a quotient universe and its orbit structure.
+    /// Creates an index over a quotient universe and its orbit structure,
+    /// with a private cache.
     ///
     /// # Panics
     ///
@@ -585,6 +618,19 @@ impl<'u> OrbitIndex<'u> {
     /// universe's members.
     #[must_use]
     pub fn new(universe: &'u Universe, orbits: &'u Orbits) -> Self {
+        OrbitIndex::with_cache(universe, orbits, ClassCache::shared())
+    }
+
+    /// Creates an index whose partitions come from — and are built once
+    /// in — `cache`. Share the cache only among indexes over this
+    /// universe with these orbits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the orbit structure does not describe exactly the
+    /// universe's members.
+    #[must_use]
+    pub fn with_cache(universe: &'u Universe, orbits: &'u Orbits, cache: Arc<ClassCache>) -> Self {
         assert_eq!(
             universe.len(),
             orbits.orbit_count(),
@@ -593,7 +639,7 @@ impl<'u> OrbitIndex<'u> {
         OrbitIndex {
             universe,
             orbits,
-            cache: RefCell::new(HashMap::new()),
+            cache,
         }
     }
 
@@ -611,14 +657,12 @@ impl<'u> OrbitIndex<'u> {
 
     /// The orbit-aware `[P]`-partition (cached).
     #[must_use]
-    pub fn classes(&self, p: ProcessSet) -> Rc<OrbitClasses> {
-        if let Some(c) = self.cache.borrow().get(&p.bits()) {
-            return Rc::clone(c);
-        }
-        let classes = self.build(p);
-        let rc = Rc::new(classes);
-        self.cache.borrow_mut().insert(p.bits(), Rc::clone(&rc));
-        rc
+    pub fn classes(&self, p: ProcessSet) -> Arc<OrbitClasses> {
+        self.cache.get_or_build(
+            self.universe.generation(),
+            Structure::OrbitPartition(p.bits()),
+            || self.build(p),
+        )
     }
 
     fn build(&self, p: ProcessSet) -> OrbitClasses {
@@ -628,49 +672,34 @@ impl<'u> OrbitIndex<'u> {
 
         // identity pass: partition the representatives by their own
         // projection signature, exactly like IsoIndex::classes.
-        let mut key_to_class: HashMap<Vec<u64>, u32> = HashMap::new();
-        let mut class_of = vec![0u32; n];
-        let mut member_sets: Vec<CompSet> = Vec::new();
-        let mut key: Vec<u64> = Vec::new();
-        for (id, slot) in class_of.iter_mut().enumerate() {
-            key.clear();
-            emit_signature(
-                &self.orbits.descs[id],
-                &elements[0],
-                &inverses[0],
-                p,
-                &mut key,
-            );
-            let class = match key_to_class.get(&key) {
-                Some(&c) => c,
-                None => {
-                    let c = member_sets.len() as u32;
-                    key_to_class.insert(key.clone(), c);
-                    member_sets.push(CompSet::new(n));
-                    c
-                }
-            };
-            *slot = class;
-            member_sets[class as usize].insert(id);
-        }
+        let descs = &self.orbits.descs;
+        let (classes, table) = Classes::by_key(n, |id, key| {
+            emit_signature(&descs[id], &elements[0], &inverses[0], p, key);
+        });
 
-        // orbit pass: for every non-identity relabeling of every
-        // representative, record which class the relabeling falls into.
-        let mut orbit_sets = member_sets.clone();
-        for (pi, inv) in elements.iter().zip(&inverses).skip(1) {
-            for id in 0..n {
+        // orbit pass: for every relabeling of every representative,
+        // record which class (if any) the relabeling falls into.
+        let mut starts = Vec::with_capacity(n + 1);
+        let mut lands = Vec::with_capacity(n);
+        let (mut key, mut row) = (Vec::new(), Vec::new());
+        for (id, desc) in descs.iter().enumerate() {
+            starts.push(lands.len() as u32);
+            row.clear();
+            row.push(classes.labels()[id]);
+            for (pi, inv) in elements.iter().zip(&inverses).skip(1) {
                 key.clear();
-                emit_signature(&self.orbits.descs[id], pi, inv, p, &mut key);
-                if let Some(&class) = key_to_class.get(&key) {
-                    orbit_sets[class as usize].insert(id);
-                }
+                emit_signature(desc, pi, inv, p, &mut key);
+                row.extend(table.get(&key));
             }
+            row.sort_unstable();
+            row.dedup();
+            lands.extend_from_slice(&row);
         }
-
+        starts.push(lands.len() as u32);
         OrbitClasses {
-            class_of,
-            member_sets,
-            orbit_sets,
+            classes,
+            starts,
+            lands,
         }
     }
 }
@@ -686,7 +715,8 @@ impl<'u> OrbitIndex<'u> {
 /// classes are rebuilt over the virtual members from the same structural
 /// signatures that drive the quotient — while invariant subtrees keep
 /// the quotient fast path and merely *lift* their representative-level
-/// verdicts ([`ExpandedUniverse::lift`]).
+/// verdicts ([`ExpandedUniverse::lift`]). It and its partitions are
+/// [`ClassCache`] entries, built once per cache.
 #[derive(Debug)]
 pub(crate) struct ExpandedUniverse {
     /// Per virtual member: (representative id, group-element index of a
@@ -695,9 +725,19 @@ pub(crate) struct ExpandedUniverse {
     /// Per representative: the virtual id of its identity relabeling.
     rep_member: Vec<u32>,
     inverses: Vec<Permutation>,
-    /// Per `ProcessSet::bits`: the `[P]`-partition of the virtual
-    /// members (member sets only — classes have no quotient side here).
-    classes: RefCell<HashMap<u128, Rc<Vec<CompSet>>>>,
+}
+
+impl Resident for ExpandedUniverse {
+    fn resident_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + std::mem::size_of_val(self.members.as_slice())
+            + std::mem::size_of_val(self.rep_member.as_slice())
+            + self
+                .inverses
+                .iter()
+                .map(|pi| std::mem::size_of::<Permutation>() + 2 * pi.len())
+                .sum::<usize>()
+    }
 }
 
 impl ExpandedUniverse {
@@ -740,7 +780,6 @@ impl ExpandedUniverse {
             members,
             rep_member,
             inverses,
-            classes: RefCell::new(HashMap::new()),
         }
     }
 
@@ -757,63 +796,35 @@ impl ExpandedUniverse {
         (rid as usize, ei as usize)
     }
 
-    /// The full universe's `[P]`-partition over the virtual members
-    /// (cached per process set).
-    pub(crate) fn member_sets(&self, orbits: &Orbits, p: ProcessSet) -> Rc<Vec<CompSet>> {
-        if let Some(c) = self.classes.borrow().get(&p.bits()) {
-            return Rc::clone(c);
-        }
-        let n = self.members.len();
-        let mut key_to_class: HashMap<Vec<u64>, usize> = HashMap::new();
-        let mut sets: Vec<CompSet> = Vec::new();
-        let mut key = Vec::new();
-        for (vid, &(rid, ei)) in self.members.iter().enumerate() {
-            key.clear();
+    /// The full universe's `[P]`-partition over the virtual members.
+    pub(crate) fn classes(&self, orbits: &Orbits, p: ProcessSet) -> Classes {
+        Classes::by_key(self.members.len(), |vid, key| {
+            let (rid, ei) = self.member(vid);
             emit_signature(
-                &orbits.descs[rid as usize],
-                &orbits.elements[ei as usize],
-                &self.inverses[ei as usize],
+                &orbits.descs[rid],
+                &orbits.elements[ei],
+                &self.inverses[ei],
                 p,
-                &mut key,
+                key,
             );
-            let class = match key_to_class.get(&key) {
-                Some(&c) => c,
-                None => {
-                    let c = sets.len();
-                    key_to_class.insert(key.clone(), c);
-                    sets.push(CompSet::new(n));
-                    c
-                }
-            };
-            sets[class].insert(vid);
-        }
-        let rc = Rc::new(sets);
-        self.classes.borrow_mut().insert(p.bits(), Rc::clone(&rc));
-        rc
+        })
+        .0
     }
 
     /// Lifts a representative-level satisfaction set to the virtual
     /// members — sound exactly for orbit-invariant verdicts.
     pub(crate) fn lift(&self, rep: &CompSet) -> CompSet {
-        let mut s = CompSet::new(self.members.len());
-        for (vid, &(rid, _)) in self.members.iter().enumerate() {
-            if rep.contains(rid as usize) {
-                s.insert(vid);
-            }
-        }
-        s
+        CompSet::from_fn(self.members.len(), |vid| {
+            rep.contains(self.members[vid].0 as usize)
+        })
     }
 
     /// Projects a virtual satisfaction set back to representative level
     /// (each representative reads its identity relabeling).
     pub(crate) fn project(&self, v: &CompSet) -> CompSet {
-        let mut s = CompSet::new(self.rep_member.len());
-        for (rid, &vid) in self.rep_member.iter().enumerate() {
-            if v.contains(vid as usize) {
-                s.insert(rid);
-            }
-        }
-        s
+        CompSet::from_fn(self.rep_member.len(), |rid| {
+            v.contains(self.rep_member[rid] as usize)
+        })
     }
 }
 

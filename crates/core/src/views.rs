@@ -27,10 +27,13 @@
 //! break where it forgets.
 
 use crate::bitset::CompSet;
+use crate::isomorphism::{verdicts, Classes, Test};
 use crate::universe::{CompId, Universe};
 use hpl_model::{Computation, EventKind, ProcessId, ProcessSet};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::rc::Rc;
 
 /// Maps a process's local computation to its observable view key.
 ///
@@ -121,12 +124,14 @@ impl ViewAbstraction for EventCounts {
     }
 }
 
-/// State-based isomorphism classes over a universe, for one abstraction.
+/// State-based isomorphism classes over a universe, for one abstraction:
+/// per process set, one class label per computation (cached), read by
+/// the same label kernel that answers `P knows b` for the paper's
+/// isomorphism.
 pub struct ViewIndex<'u, V: ViewAbstraction> {
     universe: &'u Universe,
     abstraction: V,
-    cache: std::cell::RefCell<HashMap<u128, std::rc::Rc<Vec<CompSet>>>>,
-    class_of_cache: std::cell::RefCell<HashMap<u128, std::rc::Rc<Vec<u32>>>>,
+    cache: RefCell<HashMap<u128, Rc<Classes>>>,
 }
 
 impl<'u, V: ViewAbstraction> ViewIndex<'u, V> {
@@ -135,8 +140,7 @@ impl<'u, V: ViewAbstraction> ViewIndex<'u, V> {
         ViewIndex {
             universe,
             abstraction,
-            cache: std::cell::RefCell::new(HashMap::new()),
-            class_of_cache: std::cell::RefCell::new(HashMap::new()),
+            cache: RefCell::new(HashMap::new()),
         }
     }
 
@@ -145,71 +149,41 @@ impl<'u, V: ViewAbstraction> ViewIndex<'u, V> {
         self.universe
     }
 
-    fn build(&self, p: ProcessSet) {
-        let n = self.universe.len();
-        let mut key_to_class: HashMap<Vec<u64>, u32> = HashMap::new();
-        let mut class_of = vec![0u32; n];
-        let mut members: Vec<CompSet> = Vec::new();
-        for (id, c) in self.universe.iter() {
-            let mut key: Vec<u64> = Vec::new();
+    /// The `[P]ᵥ`-partition (cached): computations share a class iff
+    /// every `p ∈ P` has the same view key in both.
+    fn classes(&self, p: ProcessSet) -> Rc<Classes> {
+        if let Some(classes) = self.cache.borrow().get(&p.bits()) {
+            return Rc::clone(classes);
+        }
+        let (classes, _) = Classes::by_key(self.universe.len(), |i, key| {
+            let c = self.universe.get(CompId::from_index(i));
             for proc in p.iter() {
                 key.push(u64::MAX);
                 key.extend(self.abstraction.view_key(c, proc));
             }
-            let next = members.len() as u32;
-            let class = *key_to_class.entry(key).or_insert_with(|| {
-                members.push(CompSet::new(n));
-                next
-            });
-            class_of[id.index()] = class;
-            members[class as usize].insert(id.index());
-        }
+        });
+        let classes = Rc::new(classes);
         self.cache
             .borrow_mut()
-            .insert(p.bits(), std::rc::Rc::new(members));
-        self.class_of_cache
-            .borrow_mut()
-            .insert(p.bits(), std::rc::Rc::new(class_of));
-    }
-
-    fn member_sets(&self, p: ProcessSet) -> std::rc::Rc<Vec<CompSet>> {
-        if !self.cache.borrow().contains_key(&p.bits()) {
-            self.build(p);
-        }
-        std::rc::Rc::clone(&self.cache.borrow()[&p.bits()])
-    }
-
-    fn class_of(&self, p: ProcessSet) -> std::rc::Rc<Vec<u32>> {
-        if !self.class_of_cache.borrow().contains_key(&p.bits()) {
-            self.build(p);
-        }
-        std::rc::Rc::clone(&self.class_of_cache.borrow()[&p.bits()])
+            .insert(p.bits(), Rc::clone(&classes));
+        classes
     }
 
     /// Tests state-based isomorphism `x [P]ᵥ y`.
     pub fn isomorphic(&self, x: CompId, y: CompId, p: ProcessSet) -> bool {
-        let classes = self.class_of(p);
-        classes[x.index()] == classes[y.index()]
+        self.classes(p).same_class(x, y)
     }
 
     /// The satisfaction set of `P knows ⟨sat⟩` under this abstraction:
     /// `{x : [P]ᵥ-class of x ⊆ sat}`.
     pub fn knows_set(&self, p: ProcessSet, sat: &CompSet) -> CompSet {
-        let members = self.member_sets(p);
-        let mut out = CompSet::new(self.universe.len());
-        for mset in members.iter() {
-            if mset.is_subset(sat) {
-                out.union_with(mset);
-            }
-        }
-        out
+        verdicts(&*self.classes(p), sat, Test::Knows)
     }
 
     /// The `[P]ᵥ`-class of `x`.
     pub fn class_set(&self, x: CompId, p: ProcessSet) -> CompSet {
-        let classes = self.class_of(p);
-        let members = self.member_sets(p);
-        members[classes[x.index()] as usize].clone()
+        let classes = self.classes(p);
+        classes.member_set(classes.class_of(x))
     }
 }
 

@@ -6,8 +6,12 @@
 //! queries evaluate on the threads that ask them. Per snapshot it
 //! shares
 //!
-//! * a [`ClassCache`] — `[P]`-partitions, reused by every evaluator a
-//!   query spins up,
+//! * a [`ClassCache`] — the structures knowledge evaluation reads and
+//!   no query changes: `[P]`-partitions and components, and on a
+//!   quotient snapshot the orbit partitions and the orbit-expanded
+//!   universe with its partitions and dependent atoms. Each is built
+//!   on the first query that needs it, once, and every later query on
+//!   any thread reads it,
 //! * a [`SatCache`] — final satisfaction sets keyed
 //!   `(generation, formula)`, so repeated queries cost a lookup, and
 //! * an [`Admission`] table — identical requests *in flight* coalesce
@@ -26,8 +30,9 @@ use crate::session::Session;
 use hpl_core::isomorphism::ClassCache;
 use hpl_core::parser::MAX_FORMULA_DEPTH;
 use hpl_core::{
-    eval_propositional, CompSet, CoreError, Evaluator, Formula, GrowthMap, Interpretation, Orbits,
-    QuotientPolicy, SatCache, SatCacheStats, Universe, DEFAULT_SAT_CACHE_CAPACITY,
+    eval_propositional, ClassCacheStats, CompSet, CoreError, Evaluator, Formula, GrowthMap,
+    Interpretation, Orbits, QuotientPolicy, SatCache, SatCacheStats, Universe,
+    DEFAULT_SAT_CACHE_CAPACITY,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -162,6 +167,15 @@ impl Snapshot {
         self.sats.stats()
     }
 
+    /// What the snapshot's [`ClassCache`] holds and has built: the
+    /// query-independent structures of this generation, plus those of
+    /// the generations it grew from while they stay in the cache's
+    /// window.
+    #[must_use]
+    pub fn structure_stats(&self) -> ClassCacheStats {
+        self.classes.stats()
+    }
+
     /// Requests that joined an in-flight identical request instead of
     /// evaluating.
     #[must_use]
@@ -188,15 +202,21 @@ impl Snapshot {
     /// Evaluates a plan's root on a fresh evaluator wired to this
     /// snapshot's shared caches, on the calling thread: what every
     /// [`Session::query_formula`] runs. A cache hit returns the
-    /// [`SatCache`] entry's own `Arc`.
+    /// [`SatCache`] entry's own `Arc`; a miss reads, or builds once, the
+    /// structures in the snapshot's [`ClassCache`]. Both caches belong
+    /// to this snapshot alone, so their sharing contract (one
+    /// interpretation, orbit structure and policy) holds by construction.
     pub(crate) fn evaluate(&self, plan: &QueryPlan) -> Outcome {
         let mut eval = match &self.orbits {
             Some(o) => {
                 Evaluator::with_symmetry_policy(&self.universe, &self.interp, o, self.policy)
+                    .with_structures(Arc::clone(&self.classes))
             }
-            None => Evaluator::with_class_cache(&self.universe, &self.interp, self.classes.clone()),
+            None => {
+                Evaluator::with_class_cache(&self.universe, &self.interp, Arc::clone(&self.classes))
+            }
         }
-        .with_sat_cache(self.sats.clone());
+        .with_sat_cache(Arc::clone(&self.sats));
         eval.try_sat_shared(plan.root()).map_err(QueryError::from)
     }
 }
@@ -311,7 +331,8 @@ impl QueryService {
     /// * the [`ClassCache`] learns the growth edge
     ///   ([`ClassCache::note_growth`]), so `[P]`-partitions of the new
     ///   generation are rebuilt incrementally from the cached ones
-    ///   instead of from scratch;
+    ///   instead of from scratch; every other structure is keyed by
+    ///   generation, so the new snapshot builds its own on first use;
     /// * **propositional** [`SatCache`] entries are carried — surviving
     ///   members keep their verdicts through the growth map and only
     ///   newly enumerated computations are decided

@@ -168,8 +168,10 @@ impl Session {
 
     /// A Prometheus-style text exposition of the service's live
     /// counters for this session's scenario: satisfaction-set cache
-    /// hits, misses, occupancy and resident-bytes estimate, admission
-    /// coalescing, and universe shape — followed by everything the
+    /// hits, misses, occupancy and resident-bytes estimate, the bytes
+    /// the snapshot's evaluation structures keep and how many were
+    /// built, admission coalescing, and universe shape — followed by
+    /// everything the
     /// global telemetry recorder has collected (empty while telemetry
     /// is disabled). This is what the `stats` command of `repro serve`
     /// prints.
@@ -178,6 +180,7 @@ impl Session {
         use std::fmt::Write as _;
         let scenario = self.snapshot.name();
         let stats = self.snapshot.sat_cache_stats();
+        let structures = self.snapshot.structure_stats();
         let mut out = String::new();
         let mut gauge = |name: &str, v: u64| {
             let _ = writeln!(out, "# TYPE {name} gauge");
@@ -189,6 +192,8 @@ impl Session {
         gauge("hpl_sat_cache_resident_bytes", stats.resident_bytes as u64);
         gauge("hpl_sat_cache_evictions", stats.evictions);
         gauge("hpl_sat_cache_capacity_bytes", stats.capacity_bytes as u64);
+        gauge("hpl_eval_structure_bytes", structures.resident_bytes as u64);
+        gauge("hpl_eval_structure_builds", structures.builds);
         gauge("hpl_admission_coalesced", self.snapshot.coalesced());
         gauge("hpl_admission_led", self.snapshot.led());
         gauge("hpl_universe_len", self.snapshot.universe.len() as u64);

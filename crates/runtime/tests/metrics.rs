@@ -36,6 +36,16 @@ fn metrics_snapshot_exposes_cache_and_admission_gauges() {
     // same formula twice: the second answer must come from the cache
     session.query("token-at-p0").expect("evaluates");
     session.query("token-at-p0").expect("evaluates");
+    let text = session.metrics_snapshot();
+    assert_eq!(
+        gauge_value(&text, "hpl_eval_structure_builds"),
+        Some(0),
+        "an atom needs no partition"
+    );
+    // knowledge builds the {p0}-partition once; asking about it again
+    // (or about another atom) reads it
+    session.query("K{p0} token-at-p0").expect("evaluates");
+    session.query("K{p0} token-at-p1").expect("evaluates");
 
     let text = session.metrics_snapshot();
     for metric in [
@@ -43,6 +53,8 @@ fn metrics_snapshot_exposes_cache_and_admission_gauges() {
         "hpl_sat_cache_misses",
         "hpl_sat_cache_entries",
         "hpl_sat_cache_resident_bytes",
+        "hpl_eval_structure_bytes",
+        "hpl_eval_structure_builds",
         "hpl_admission_coalesced",
         "hpl_admission_led",
         "hpl_universe_len",
@@ -60,6 +72,13 @@ fn metrics_snapshot_exposes_cache_and_admission_gauges() {
     assert!(gauge_value(&text, "hpl_sat_cache_hits").expect("parses") >= 1);
     assert!(gauge_value(&text, "hpl_sat_cache_entries").expect("parses") >= 1);
     assert!(gauge_value(&text, "hpl_sat_cache_resident_bytes").expect("parses") > 0);
+    assert_eq!(gauge_value(&text, "hpl_eval_structure_builds"), Some(1));
+    // one u32 label per computation, plus the partition's header
+    let bytes = gauge_value(&text, "hpl_eval_structure_bytes").expect("parses");
+    assert!(
+        (4 * universe_len..4 * universe_len + 256).contains(&bytes),
+        "{bytes} bytes for the labels of {universe_len} computations"
+    );
     assert_eq!(
         gauge_value(&text, "hpl_universe_len"),
         Some(universe_len),

@@ -467,7 +467,7 @@ fn trust_divergence_is_classified_rejected_and_corrected() {
         let classes = index.classes(ProcessSet::singleton(p));
         let mut knows = CompSet::new(qu.len());
         for class in (0..classes.class_count()).filter(|&k| classes.orbit_set(k).is_subset(&st)) {
-            knows.union_with(classes.member_set(class));
+            knows.union_with(&classes.member_set(class));
         }
         st = knows;
     }
