@@ -703,9 +703,10 @@ impl<'u> IsoIndex<'u> {
 /// Appends the `[P]`-projection signature of an event sequence to `key`:
 /// per process in `procs`, a `u64::MAX` separator followed by the
 /// projected event-id sequence. Two computations share a signature iff
-/// they are `[P]`-isomorphic — this single definition backs both
-/// [`IsoIndex::classes`] partitioning and the merge's trivial-group
-/// quotient, which must agree on what "isomorphic" means.
+/// they are `[P]`-isomorphic; this definition backs [`IsoIndex::classes`]
+/// partitioning. The quotient merge does not use it: it keys a node's
+/// `[D]`-class on its processes' last event ids alone, which fix the
+/// same projections (see [`crate::symmetry`]).
 pub(crate) fn projection_signature_into(
     key: &mut Vec<u64>,
     events: &[hpl_model::Event],

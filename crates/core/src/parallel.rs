@@ -275,6 +275,12 @@ pub struct EnumerationStats {
     /// Order of the symmetry group the quotient collapsed over (`1`
     /// outside quotient mode).
     pub group_order: usize,
+    /// Canonical orbit keys the merge computed, each a minimum over
+    /// [`group_order`](EnumerationStats::group_order) relabelings: one per
+    /// newly decided `[D]`-class under a declared group, `0` under the
+    /// trivial group and outside quotient mode. An extension counts only
+    /// the classes below its frontier, the ones it newly decides.
+    pub canonical_keys: usize,
     /// Record batches streamed through the merge (≥ `tasks`; grows as
     /// [`ShardConfig::batch_nodes`] shrinks).
     pub batches: usize,
@@ -1047,11 +1053,21 @@ impl Merger {
         self.space.events[id.index()]
     }
 
-    /// Replays one node record: truncates the path stack to the parent
-    /// and pushes the (already renumbered) edge event.
-    fn apply(&mut self, depth: u32, e: Event) {
+    /// Moves the replay head to a child of the node at `depth - 1`:
+    /// truncates the path stack to the parent and pushes the edge event.
+    /// The quotient follows along with the child's class key.
+    fn descend(&mut self, depth: u32, e: Event) {
         self.events.truncate(depth as usize - 1);
         self.events.push(e);
+        if let MergeMode::Quotient(q) = &mut self.mode {
+            q.follow(&self.events);
+        }
+    }
+
+    /// Replays one node record: descends to it along the (already
+    /// renumbered) edge event and decides it.
+    fn apply(&mut self, depth: u32, e: Event) {
+        self.descend(depth, e);
         let kept = self.insert_current();
         self.journal_current(depth, e, kept);
     }
@@ -1064,8 +1080,7 @@ impl Merger {
     /// below collapsed leaves too, exactly as a from-scratch run would
     /// explore them.
     fn replay_resumed(&mut self, depth: u32, e: Event, kept: bool, multiplicity: Option<u64>) {
-        self.events.truncate(depth as usize - 1);
-        self.events.push(e);
+        self.descend(depth, e);
         if kept {
             self.adopt_current(multiplicity);
         }
@@ -1075,16 +1090,15 @@ impl Merger {
     /// Inserts the computation at the replay head as a
     /// previously-decided representative, skipping the quotient
     /// decision: no node explored past the frontier can collapse onto it
-    /// (every such node is strictly longer, and orbit keys determine
-    /// length), so re-deciding would only re-derive what the frontier
-    /// already recorded. Quotient mode re-registers the
+    /// (every such node is strictly longer, and class and orbit keys
+    /// determine length), so re-deciding would only re-derive what the
+    /// frontier already recorded. Quotient mode re-registers the
     /// representative's descriptors and adopts its captured multiplicity
     /// as final.
     fn adopt_current(&mut self, multiplicity: Option<u64>) {
         if let MergeMode::Quotient(q) = &mut self.mode {
             let payloads = &self.space.payloads;
             q.adopt_representative(
-                self.system_size,
                 &self.events,
                 &mut |m| payloads.get(&m).copied().unwrap_or(0),
                 multiplicity.unwrap_or(1),
@@ -1135,7 +1149,7 @@ impl Merger {
     fn insert_current(&mut self) -> bool {
         if let MergeMode::Quotient(q) = &mut self.mode {
             let payloads = &self.space.payloads;
-            let decision = q.observe(self.system_size, &self.events, &mut |m| {
+            let decision = q.observe(&self.events, &mut |m| {
                 payloads.get(&m).copied().unwrap_or(0)
             });
             if matches!(decision, OrbitDecision::Collapsed) {
@@ -1407,6 +1421,7 @@ pub fn enumerate_sharded<P: Protocol + Sync + ?Sized>(
     let mut out = grow(protocol, &frontier, limits, config)?;
     out.stats.resumed = 0;
     out.stats.merge_wall_ms += prefix.stats.merge_wall_ms;
+    out.stats.canonical_keys += prefix.stats.canonical_keys;
     out.growth = None;
     Ok(out)
 }
@@ -1748,6 +1763,10 @@ fn grow<P: Protocol + Sync + ?Sized>(
     }
 
     let unique = merger.universe.len();
+    let canonical_keys = match &merger.mode {
+        MergeMode::Quotient(q) => q.canonical_keys(),
+        MergeMode::Exact => 0,
+    };
     let (universe, orbits, new_frontier) = merger.finish(limits.max_events);
     let growth_map = GrowthMap::new(
         frontier.generation,
@@ -1763,6 +1782,7 @@ fn grow<P: Protocol + Sync + ?Sized>(
             tasks,
             shards,
             group_order: orbits.as_ref().map_or(1, Orbits::group_order),
+            canonical_keys,
             batches: metrics.batches,
             merge_wall_ms: metrics.merge_wall.as_secs_f64() * 1e3,
             peak_buffered_bytes: metrics.peak_buffered,
@@ -1787,9 +1807,9 @@ fn grow<P: Protocol + Sync + ?Sized>(
 /// pre-order positions and new subtrees splice in at exactly the
 /// pre-order slots a from-scratch merge would reach them. What an
 /// extension never re-pays is the old tree's *decisions*: replayed
-/// representatives re-enter the universe without orbit keys (every
-/// newly explored node is strictly longer than every frontier-era
-/// node, so their keys cannot collide), and orbit
+/// representatives re-enter the universe without class or orbit keys
+/// (every newly explored node is strictly longer than every
+/// frontier-era node, so their keys cannot collide), and orbit
 /// multiplicities are adopted as captured instead of recanonicalizing
 /// the old tree.
 ///

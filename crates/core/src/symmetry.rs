@@ -28,9 +28,23 @@
 //! [`IsoIndex`](crate::IsoIndex) partitioning. The **canonical key** of a
 //! computation is the lexicographic minimum of its structural signature
 //! over all group elements; [`canonical_key`] exposes it for property
-//! tests. Under the trivial group an orbit is a `[D]`-class, so the merge
-//! keys it on the event-id projections themselves and derives
-//! descriptors only for the representatives it keeps.
+//! tests.
+//!
+//! # The class key
+//!
+//! The merge interns each event by (process, that process's previous
+//! event, step), so a process's last event fixes its whole projection,
+//! and a computation's `[D]`-class is fixed by its processes' last
+//! events — the frontier of its consistent cut. The merge keys every
+//! node on that **class key** first (`system_size` words, kept on its
+//! path stack), so only the first node of a class pays for descriptors
+//! and, under a declared group, for the canonical key; a class map
+//! remembers the verdict for the rest of the class. Under the trivial
+//! group an orbit is a `[D]`-class, so the class key is the orbit key. A
+//! computation whose consecutive events all depend on each other (same
+//! process, or the receive of the message just sent) is the only
+//! linearization of its event set — a class of one — so it skips the
+//! class map.
 //!
 //! # Orbit-aware evaluation
 //!
@@ -56,12 +70,12 @@
 use crate::bitset::CompSet;
 use crate::enumerate::ProtocolUniverse;
 use crate::error::CoreError;
-use crate::isomorphism::{
-    projection_signature_into, ClassCache, Classes, Labels, Resident, Structure,
-};
+use crate::isomorphism::{ClassCache, Classes, Labels, Resident, Structure};
 use crate::universe::{CompId, Universe};
-use hpl_model::{Computation, Event, EventKind, MessageId, Permutation, ProcessId, ProcessSet};
+use hpl_model::{Computation, Event, EventKind, MessageId, Permutation, ProcessSet};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Marker for steps without a communication peer (internal events).
@@ -283,19 +297,104 @@ impl Canonicalizer {
     }
 }
 
-/// The quotient bookkeeping of the merge: orbit key → representative,
-/// plus per-representative multiplicities and descriptors.
+/// Class-key word of a process without events.
+const NO_LAST: u32 = u32::MAX;
+
+/// Whether `e` depends on `prev`, the event just before it: same process,
+/// or the receive of the message `prev` sent.
+fn depends(prev: Event, e: Event) -> bool {
+    prev.process() == e.process()
+        || matches!(
+            (prev.kind(), e.kind()),
+            (EventKind::Send { message: sent, .. }, EventKind::Receive { message, .. })
+                if sent == message
+        )
+}
+
+/// Class key → representative, with the keys stored flat: a build keeps
+/// one entry per `[D]`-class, thousands of them, and a heap block per key
+/// would leave as many small freed blocks scattered through the heap
+/// that later allocations (the query path's among them) draw from.
+#[derive(Default)]
+struct ClassMap {
+    /// Class `c`'s key is `keys[c * width..(c + 1) * width]`.
+    keys: Vec<u32>,
+    reps: Vec<u32>,
+    /// Key hash → class. A hash another class holds moves on to the next
+    /// value, so each key has one probe sequence.
+    slots: HashMap<u64, u32, BuildHasherDefault<Prehashed>>,
+    hasher: RandomState,
+}
+
+impl ClassMap {
+    /// The representative of `key`'s class, or the slot a new class with
+    /// this key takes.
+    fn get(&self, key: &[u32]) -> Result<u32, u64> {
+        let width = key.len();
+        let mut slot = self.hasher.hash_one(key);
+        while let Some(&c) = self.slots.get(&slot) {
+            let c = c as usize;
+            if self.keys[c * width..(c + 1) * width] == *key {
+                return Ok(self.reps[c]);
+            }
+            slot = slot.wrapping_add(1);
+        }
+        Err(slot)
+    }
+
+    /// Enters a new class at the slot [`ClassMap::get`] returned for it.
+    fn insert(&mut self, slot: u64, key: &[u32], rep: u32) {
+        self.slots.insert(slot, self.reps.len() as u32);
+        self.keys.extend_from_slice(key);
+        self.reps.push(rep);
+    }
+}
+
+/// Hands the slot table its keys, which are already hashes, unchanged.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// The quotient bookkeeping of the merge: the class key of every node on
+/// the merge's path, class key → representative, canonical key →
+/// representative, plus per-representative multiplicities and
+/// descriptors.
 pub(crate) struct QuotientState {
     canon: Canonicalizer,
     generators: Vec<Permutation>,
+    system_size: usize,
+    /// Block `d` (`system_size` words) is the class key of the path's
+    /// depth-`d` node: each process's last event id, or [`NO_LAST`].
+    lasts: Vec<u32>,
+    /// Length of the path's longest prefix whose consecutive events all
+    /// depend on each other (see [`depends`]).
+    chain: usize,
+    classes: ClassMap,
+    /// Declared groups only: canonical key → representative.
     key_to_rep: HashMap<Vec<u64>, u32>,
+    /// Canonical keys computed (see `EnumerationStats::canonical_keys`).
+    canonical_keys: usize,
     multiplicity: Vec<u64>,
     descs: Vec<Descs>,
     // scratch reused across observe() calls so the per-node cost of the
     // merge hot loop allocates only for kept representatives
     scratch: Descs,
     send_info: HashMap<MessageId, (u16, u32)>,
-    projection: Vec<u64>,
 }
 
 /// What the merge decided about one explored computation.
@@ -319,92 +418,130 @@ impl QuotientState {
         QuotientState {
             canon: Canonicalizer::new(elements, system_size),
             generators,
+            system_size,
+            lasts: vec![NO_LAST; system_size],
+            chain: 0,
+            classes: ClassMap::default(),
             key_to_rep: HashMap::new(),
+            canonical_keys: 0,
             multiplicity: Vec::new(),
             descs: Vec::new(),
             scratch: Descs::new(),
             send_info: HashMap::new(),
-            projection: Vec::new(),
         }
     }
 
-    /// Accounts one explored computation; call in deterministic merge
-    /// order. `Representative` instructs the caller to insert the
-    /// computation (its id must equal the number of representatives seen
-    /// before it).
+    /// Moves the class-key stack to the node at the end of `path`, a
+    /// child of the node the stack last reached at depth
+    /// `path.len() - 1`: the child's key is its parent's with the edge
+    /// event's process advanced. `O(system_size)`; call for every node
+    /// the merge visits, replayed or explored, in pre-order.
+    pub(crate) fn follow(&mut self, path: &[Event]) {
+        let n = self.system_size;
+        let depth = path.len();
+        let e = path[depth - 1];
+        self.lasts.truncate(depth * n);
+        self.lasts.extend_from_within((depth - 1) * n..);
+        self.lasts[depth * n + e.process().index()] = e.id().index() as u32;
+        self.chain = self.chain.min(depth - 1);
+        if self.chain == depth - 1 && (depth == 1 || depends(path[depth - 2], e)) {
+            self.chain = depth;
+        }
+    }
+
+    /// Accounts the explored computation `path`, which [`follow`]
+    /// reached last; call in deterministic merge order. `Representative`
+    /// instructs the caller to insert the computation (its id must equal
+    /// the number of representatives seen before it).
     ///
-    /// Under the trivial group the key is the per-process event-id
-    /// projection signature [`IsoIndex`](crate::IsoIndex) partitions by,
-    /// so only representatives pay for descriptors; larger groups key on
-    /// the canonical structural signature of every node.
+    /// The node is keyed on its class first: a class seen before
+    /// collapses onto the representative the class map remembers, so only
+    /// a class's first node derives descriptors and, under a declared
+    /// group, the canonical key that decides its orbit. A chain (see the
+    /// module docs) is its class's only node, so it skips the class map.
+    ///
+    /// [`follow`]: QuotientState::follow
     pub(crate) fn observe(
         &mut self,
-        system_size: usize,
-        events: &[Event],
+        path: &[Event],
         payload_of: &mut dyn FnMut(MessageId) -> u32,
     ) -> OrbitDecision {
-        let trivial = self.canon.elements.len() == 1;
-        let key = if trivial {
-            self.projection.clear();
-            projection_signature_into(
-                &mut self.projection,
-                events,
-                (0..system_size).map(ProcessId::new),
-            );
-            &self.projection[..]
+        let depth = path.len();
+        let class = depth * self.system_size..(depth + 1) * self.system_size;
+        // a chain is its class's only node: no later node looks it up
+        let slot = if self.chain == depth {
+            None
         } else {
-            self.describe(system_size, events, payload_of);
-            self.canon.key(&self.scratch)
+            match self.classes.get(&self.lasts[class.clone()]) {
+                Ok(rep) => {
+                    self.multiplicity[rep as usize] += 1;
+                    return OrbitDecision::Collapsed;
+                }
+                Err(slot) => Some(slot),
+            }
         };
-        if let Some(&rep) = self.key_to_rep.get(key) {
+        self.describe(path, payload_of);
+        let next = self.multiplicity.len() as u32;
+        let rep = if self.canon.elements.len() == 1 {
+            next
+        } else {
+            self.canonical_keys += 1;
+            let key = self.canon.key(&self.scratch);
+            match self.key_to_rep.get(key) {
+                Some(&rep) => rep,
+                None => {
+                    self.key_to_rep.insert(key.to_vec(), next);
+                    next
+                }
+            }
+        };
+        if let Some(slot) = slot {
+            self.classes.insert(slot, &self.lasts[class], rep);
+        }
+        if rep == next {
+            self.push_representative(1);
+            OrbitDecision::Representative
+        } else {
             self.multiplicity[rep as usize] += 1;
-            return OrbitDecision::Collapsed;
+            OrbitDecision::Collapsed
         }
-        let rep = self.multiplicity.len() as u32;
-        self.key_to_rep.insert(key.to_vec(), rep);
-        if trivial {
-            self.describe(system_size, events, payload_of);
-        }
-        self.push_representative(1);
-        OrbitDecision::Representative
     }
 
     /// Adopts a representative decided by an earlier enumeration with
     /// its final multiplicity, **without** keying it or entering it in
-    /// the key table. Sound during incremental extension
+    /// the key tables. Sound during incremental extension
     /// ([`extend_sharded`](crate::extend_sharded)) because every
     /// computation explored past the frontier is strictly longer than
-    /// every adopted one, and both orbit keys (projection and canonical)
-    /// of different-length computations differ — no new node can
-    /// collapse onto an adopted orbit, and its multiplicity is already
-    /// final. The descriptors are still computed: orbit-aware evaluation
-    /// ([`OrbitIndex`](crate::OrbitIndex)) reads them for adopted and
-    /// fresh representatives alike.
+    /// every adopted one, and both keys the merge decides by (class and
+    /// canonical) differ between computations of different lengths — no
+    /// new node can collapse onto an adopted orbit, and its multiplicity
+    /// is already final. The descriptors are still computed: orbit-aware
+    /// evaluation ([`OrbitIndex`](crate::OrbitIndex)) reads them for
+    /// adopted and fresh representatives alike.
     ///
     /// The caller must keep the representative-id invariant: adopt in
     /// universe insertion order, so the adopted rep's id equals the
     /// number of representatives seen before it.
     pub(crate) fn adopt_representative(
         &mut self,
-        system_size: usize,
-        events: &[Event],
+        path: &[Event],
         payload_of: &mut dyn FnMut(MessageId) -> u32,
         multiplicity: u64,
     ) {
-        self.describe(system_size, events, payload_of);
+        self.describe(path, payload_of);
         self.push_representative(multiplicity);
     }
 
-    /// Derives the descriptors of `events` into the scratch buffers.
-    fn describe(
-        &mut self,
-        system_size: usize,
-        events: &[Event],
-        payload_of: &mut dyn FnMut(MessageId) -> u32,
-    ) {
+    /// The canonical keys computed so far.
+    pub(crate) fn canonical_keys(&self) -> usize {
+        self.canonical_keys
+    }
+
+    /// Derives the descriptors of `path` into the scratch buffers.
+    fn describe(&mut self, path: &[Event], payload_of: &mut dyn FnMut(MessageId) -> u32) {
         descriptors_into(
-            system_size,
-            events,
+            self.system_size,
+            path,
             payload_of,
             &mut self.send_info,
             &mut self.scratch,
@@ -1035,28 +1172,37 @@ mod tests {
         let mut q = QuotientState::new(group.elements(), group.generators_for(3), 3);
         let mut count_reps = 0;
         // orbit of singletons: 3 members; orbit of pairs: 6 members
+        // the merge visits nodes in pre-order, following each path
         let sequences: Vec<Vec<hpl_model::EventId>> = vec![
             vec![],
             vec![evs[0]],
-            vec![evs[1]],
-            vec![evs[2]],
             vec![evs[0], evs[1]],
-            vec![evs[1], evs[0]],
             vec![evs[0], evs[2]],
-            vec![evs[2], evs[0]],
+            vec![evs[1]],
+            vec![evs[1], evs[0]],
             vec![evs[1], evs[2]],
+            vec![evs[2]],
+            vec![evs[2], evs[0]],
             vec![evs[2], evs[1]],
         ];
         for seq in &sequences {
             let c = pool.compose(seq.iter().copied()).unwrap();
+            if !c.is_empty() {
+                q.follow(c.events());
+            }
             if matches!(
-                q.observe(3, c.events(), &mut |_| 0),
+                q.observe(c.events(), &mut |_| 0),
                 OrbitDecision::Representative
             ) {
                 count_reps += 1;
             }
         }
         assert_eq!(count_reps, 3); // null, one-step, two-step
+
+        // the empty and one-step nodes are chains (four keys); the six
+        // two-step nodes form three [D]-classes of two, whose second
+        // members collapse by class key alone (three keys)
+        assert_eq!(q.canonical_keys(), 4 + 3);
         let orbits = q.into_orbits();
         assert_eq!(orbits.orbit_count(), 3);
         assert_eq!(orbits.full_size(), 10);
@@ -1070,6 +1216,20 @@ mod tests {
         set.insert(1);
         set.insert(2);
         assert_eq!(orbits.expanded_count(&set), Ok(9));
+    }
+
+    #[test]
+    fn class_map_probes_past_a_colliding_hash() {
+        let mut map = ClassMap::default();
+        let (a, b): ([u32; 2], [u32; 2]) = ([1, 2], [3, 4]);
+        // put `a` where `b` hashes, as a hash collision would
+        let b_hash = map.hasher.hash_one(&b[..]);
+        map.insert(b_hash, &a, 7);
+        let slot = map.get(&b).expect_err("b is new");
+        assert_eq!(slot, b_hash.wrapping_add(1), "b moves past a's slot");
+        map.insert(slot, &b, 9);
+        assert_eq!(map.get(&b), Ok(9));
+        assert_eq!(map.reps, vec![7, 9]);
     }
 
     /// Regression: multiplicity expansion must fail typed, not wrap. At

@@ -7,13 +7,13 @@
 //! merge, same event-id bindings, same payload table.
 
 use hpl_core::{
-    canonical_key, enumerate, enumerate_sharded, EnumerationLimits, LocalStep, LocalView,
-    ProtoAction, Protocol, ProtocolUniverse, ShardConfig,
+    canonical_key, enumerate, enumerate_sharded, extend_sharded, EnumerationLimits, LocalStep,
+    LocalView, ProtoAction, Protocol, ProtocolUniverse, ShardConfig,
 };
 use hpl_model::{ActionId, Computation, Permutation, ProcessId};
 use hpl_protocols::failure::CrashableWorker;
 use hpl_protocols::gossip::PushGossip;
-use hpl_protocols::token_bus::TokenBus;
+use hpl_protocols::token_bus::{BroadcastBus, TokenBus};
 use hpl_protocols::tracking::Toggler;
 use hpl_protocols::two_generals::TwoGenerals;
 use std::collections::hash_map::Entry;
@@ -169,58 +169,121 @@ fn seeded_random_protocols_are_shard_deterministic() {
 
 // "Dedupe" below is the [D]-collapse: keep one computation per class of
 // `x [D] y`. Under the trivial group, `ShardConfig::quotient()` performs
-// it, keying each node on its event-id projection signature.
+// it, keying each node on its processes' last event ids.
+
+/// The first member (in `CompId` order) and the size of every
+/// `canonical_key` class of an exact universe, in first-member order.
+fn key_classes<'u>(
+    exact: &'u ProtocolUniverse,
+    elements: &[Permutation],
+) -> Vec<(&'u Computation, u64)> {
+    let mut class_of_key: HashMap<Vec<u64>, usize> = HashMap::new();
+    let mut classes: Vec<(&Computation, u64)> = Vec::new();
+    for (_, c) in exact.universe().iter() {
+        let key = canonical_key(c, elements, &mut |m| exact.payload_of(m).unwrap_or(0));
+        match class_of_key.entry(key) {
+            Entry::Occupied(e) => classes[*e.get()].1 += 1,
+            Entry::Vacant(e) => {
+                e.insert(classes.len());
+                classes.push((c, 1));
+            }
+        }
+    }
+    classes
+}
 
 #[test]
 fn dedupe_and_trivial_quotient_partition_identically() {
-    // Under the trivial group the quotient keys on event-id projection
-    // signatures; nontrivial groups key on symmetry.rs structural
-    // signatures. The two definitions of the [D]-partition must never
-    // drift: the trivial-group quotient keeps exactly the first member
-    // (in `CompId` order) of each class the identity structural key
-    // induces on the exact universe, with the class size as its
-    // multiplicity — certified on the irregular payload-rich chaos
-    // protocols, not just the hand-written ones.
-    let identity = [Permutation::identity(3)];
-    for seed in [7u64, 23, 4242] {
-        let p = SeededChaos { n: 3, seed };
+    // The merge keys each node on its processes' last event ids (its
+    // [D]-class) and canonicalizes only a class's first node; the
+    // reference keys every member of the exact universe on symmetry.rs
+    // structural signatures. The two must never drift: the quotient keeps
+    // exactly the first member (in `CompId` order) of each class the
+    // canonical key induces on the exact universe, with the class size
+    // as its multiplicity — certified on the irregular payload-rich chaos
+    // protocols under the trivial group and on the symmetric protocols
+    // under their declared groups, from scratch and grown from a
+    // checkpoint two levels shallower.
+    let chaos: Vec<SeededChaos> = [7u64, 23, 4242]
+        .into_iter()
+        .map(|seed| SeededChaos { n: 3, seed })
+        .collect();
+    let (star, wide_star, gossip) = (
+        BroadcastBus::with_chatter(4, 1),
+        BroadcastBus::new(5),
+        PushGossip { n: 4 },
+    );
+    let mut cases: Vec<(String, &(dyn Protocol + Sync), usize)> = Vec::new();
+    for p in &chaos {
+        cases.push((format!("chaos(seed={})", p.seed), p, 6));
+    }
+    cases.push(("star(4, chatter 1)".into(), &star, 7));
+    cases.push(("star(5)".into(), &wide_star, 9));
+    cases.push(("gossip(4)".into(), &gossip, 5));
+    for (name, p, depth) in cases {
         let limits = EnumerationLimits {
-            max_events: 6,
+            max_events: depth,
             max_computations: 1_000_000,
         };
-        let exact = enumerate(&p, limits).expect("within budget");
-        let mut class_of_key: HashMap<Vec<u64>, usize> = HashMap::new();
-        let mut classes: Vec<(&Computation, u64)> = Vec::new();
-        for (_, c) in exact.universe().iter() {
-            let key = canonical_key(c, &identity, &mut |m| exact.payload_of(m).unwrap_or(0));
-            match class_of_key.entry(key) {
-                Entry::Occupied(e) => classes[*e.get()].1 += 1,
-                Entry::Vacant(e) => {
-                    e.insert(classes.len());
-                    classes.push((c, 1));
+        let elements = p.symmetry().elements_for(p.system_size());
+        let identity = [Permutation::identity(p.system_size())];
+        let exact = enumerate(p, limits).expect("within budget");
+        let classes = key_classes(&exact, &elements);
+        // the [D]-classes: a canonical key is computed once per class the
+        // merge decides — every class but the root's, which every build
+        // adopts, and for an extension only the classes below its
+        // checkpoint
+        let d_classes = key_classes(&exact, &identity);
+        let shallow = depth - 2;
+        let deep_d_classes = d_classes
+            .iter()
+            .filter(|(first, _)| first.len() > shallow)
+            .count();
+        let declared = elements.len() > 1;
+        for shards in [1usize, 2] {
+            let cfg = ShardConfig::with_shards(shards).quotient();
+            let checkpoint = enumerate_sharded(
+                p,
+                EnumerationLimits {
+                    max_events: shallow,
+                    ..limits
+                },
+                &cfg.checkpoint(),
+            )
+            .expect("within budget")
+            .frontier
+            .expect("checkpoint requested");
+            let scratch = enumerate_sharded(p, limits, &cfg).expect("within budget");
+            let grown = extend_sharded(p, &checkpoint, limits, &cfg).expect("within budget");
+            for (how, out, keys) in [
+                ("scratch", scratch, d_classes.len() - 1),
+                ("grown", grown, deep_d_classes),
+            ] {
+                let label = format!("{name} quotient, {how} @ {shards} shards");
+                let orbits = out.orbits.as_ref().expect("quotient attaches orbits");
+                assert_eq!(orbits.group_order(), elements.len(), "{label}");
+                assert_eq!(out.stats.explored, exact.universe().len(), "{label}");
+                assert_eq!(
+                    out.stats.canonical_keys,
+                    if declared { keys } else { 0 },
+                    "{label}: canonical keys"
+                );
+                assert_eq!(out.universe.universe().len(), classes.len(), "{label}");
+                for ((id, c), &(first, size)) in out.universe.universe().iter().zip(&classes) {
+                    assert_eq!(c, first, "{label}: representative {id}");
+                    assert_eq!(
+                        orbits.multiplicity(id),
+                        size,
+                        "{label}: multiplicity of {id}"
+                    );
                 }
+                assert_eq!(
+                    out.universe.payload_table(),
+                    exact.payload_table(),
+                    "{label}: payload table"
+                );
             }
         }
-        let label = format!("trivial quotient chaos(seed={seed})");
-        let out = enumerate_sharded(&p, limits, &ShardConfig::with_shards(2).quotient())
-            .expect("within budget");
-        let orbits = out.orbits.as_ref().expect("quotient attaches orbits");
-        assert_eq!(orbits.group_order(), 1, "{label}");
-        assert_eq!(out.stats.explored, exact.universe().len(), "{label}");
-        assert_eq!(out.universe.universe().len(), classes.len(), "{label}");
-        for ((id, c), &(first, size)) in out.universe.universe().iter().zip(&classes) {
-            assert_eq!(c, first, "{label}: representative {id}");
-            assert_eq!(
-                orbits.multiplicity(id),
-                size,
-                "{label}: multiplicity of {id}"
-            );
-        }
-        assert_eq!(
-            out.universe.payload_table(),
-            exact.payload_table(),
-            "{label}: payload table"
-        );
     }
 }
 
