@@ -25,7 +25,7 @@ use crate::isomorphism::{
 use crate::soundness::{classify_invariance, Invariance};
 use crate::symmetry::{ExpandedUniverse, OrbitIndex, Orbits};
 use crate::universe::{CompId, Universe};
-use hpl_model::{Computation, ProcessId, ProcessSet};
+use hpl_model::{ProcessId, ProcessSet};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -188,9 +188,7 @@ pub struct MemoStats {
 ///   [`DEFAULT_SAT_CACHE_CAPACITY`]): publishing past it evicts
 ///   least-recently-**served** entries — across all generations — until
 ///   the estimate fits again, always keeping at least the entry just
-///   published. [`SatCache::carry_forward`] republishes through the
-///   same path, so a growth step can shed cold source-generation
-///   entries rather than overflow.
+///   published.
 #[derive(Debug)]
 pub struct SatCache {
     inner: Mutex<SatCacheInner>,
@@ -431,45 +429,6 @@ impl SatCache {
         }
     }
 
-    /// Carries cached satisfaction sets across a universe growth step:
-    /// for every entry keyed by generation `from`, `transfer` may
-    /// produce the corresponding set over the grown universe, which is
-    /// then published under generation `to`. Returns how many entries
-    /// were carried.
-    ///
-    /// `transfer` returns `None` for entries that cannot be carried
-    /// (e.g. epistemic formulas, whose verdicts a grown universe can
-    /// change anywhere — see [`Formula::is_propositional`]); those are
-    /// simply not republished and will be recomputed on first miss.
-    /// The `from` entries themselves are left in place, subject to the
-    /// normal generation-window eviction.
-    pub fn carry_forward(
-        &self,
-        from: u64,
-        to: u64,
-        transfer: impl Fn(&Formula, &CompSet) -> Option<CompSet>,
-    ) -> usize {
-        // snapshot the source entries outside the publish path —
-        // publish() takes the same lock
-        let sources: Vec<(Formula, Arc<CompSet>)> = {
-            let inner = self.inner.lock();
-            inner.map.get(&from).map_or_else(Vec::new, |entries| {
-                entries
-                    .iter()
-                    .map(|(f, e)| (f.clone(), Arc::clone(&e.sat)))
-                    .collect()
-            })
-        };
-        let mut carried = 0;
-        for (f, old) in sources {
-            if let Some(new) = transfer(&f, &old) {
-                self.insert(to, &f, Arc::new(new));
-                carried += 1;
-            }
-        }
-        carried
-    }
-
     /// Current counters.
     #[must_use]
     pub fn stats(&self) -> SatCacheStats {
@@ -486,51 +445,6 @@ impl SatCache {
             capacity_bytes: self.capacity,
         }
     }
-}
-
-/// Evaluates a **propositional** formula at a single computation —
-/// no universe required, because without epistemic operators truth is
-/// local to the computation. Returns `None` if the formula contains
-/// `knows` / `sure` / `everyone` / `common`
-/// (see [`Formula::is_propositional`]).
-///
-/// This is the per-member decision procedure behind
-/// [`SatCache::carry_forward`]: verdicts for computations that survive
-/// a growth step are remapped, and only the newly enumerated
-/// computations are decided here.
-#[must_use]
-pub fn eval_propositional(f: &Formula, interp: &Interpretation, c: &Computation) -> Option<bool> {
-    Some(match f {
-        Formula::True => true,
-        Formula::False => false,
-        Formula::Atom(id) => interp.eval(*id, c),
-        Formula::Not(g) => !eval_propositional(g, interp, c)?,
-        Formula::And(gs) => {
-            for g in gs {
-                if !eval_propositional(g, interp, c)? {
-                    return Some(false);
-                }
-            }
-            true
-        }
-        Formula::Or(gs) => {
-            for g in gs {
-                if eval_propositional(g, interp, c)? {
-                    return Some(true);
-                }
-            }
-            false
-        }
-        Formula::Implies(a, b) => {
-            !eval_propositional(a, interp, c)? || eval_propositional(b, interp, c)?
-        }
-        Formula::Iff(a, b) => {
-            eval_propositional(a, interp, c)? == eval_propositional(b, interp, c)?
-        }
-        Formula::Knows(..) | Formula::Sure(..) | Formula::Everyone(_) | Formula::Common(_) => {
-            return None
-        }
-    })
 }
 
 impl<'u> Evaluator<'u> {

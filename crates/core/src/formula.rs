@@ -377,33 +377,6 @@ impl Formula {
         }
     }
 
-    /// `true` when the formula contains no epistemic operator — its
-    /// truth at a computation depends only on that computation (through
-    /// the interpretation's atoms), never on the rest of the universe.
-    ///
-    /// Propositional satisfaction sets survive universe growth: old
-    /// members keep their verdicts (remapped through the
-    /// [`GrowthMap`](crate::GrowthMap)) and new members can be decided
-    /// one by one, which is what
-    /// [`SatCache::carry_forward`](crate::SatCache::carry_forward)
-    /// exploits. Epistemic formulas quantify over isomorphic
-    /// computations, so a grown universe can change their verdicts
-    /// everywhere — they are never carried.
-    #[must_use]
-    pub fn is_propositional(&self) -> bool {
-        match self {
-            Formula::True | Formula::False | Formula::Atom(_) => true,
-            Formula::Not(f) => f.is_propositional(),
-            Formula::And(fs) | Formula::Or(fs) => fs.iter().all(Formula::is_propositional),
-            Formula::Implies(a, b) | Formula::Iff(a, b) => {
-                a.is_propositional() && b.is_propositional()
-            }
-            Formula::Knows(..) | Formula::Sure(..) | Formula::Everyone(_) | Formula::Common(_) => {
-                false
-            }
-        }
-    }
-
     /// Renders the formula with atom names resolved through an
     /// interpretation.
     #[must_use]

@@ -23,16 +23,13 @@
 
 use crate::bitset::CompSet;
 use crate::formula::AtomId;
-use crate::universe::{CompId, GrowthMap, Universe};
+use crate::universe::{CompId, Universe};
 use hpl_model::ProcessSet;
 use parking_lot::Mutex;
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// Sentinel for "not yet assigned" in the grow pass's tag arrays.
-const UNASSIGNED: u32 = u32::MAX;
 
 /// The `[P]`-partition of a universe: one class label per computation,
 /// classes numbered in order of their first member. No class stores
@@ -249,9 +246,10 @@ pub struct IsoIndex<'u> {
 ///
 /// The cache retains structures for the most recent
 /// [`MAX_CACHED_GENERATIONS`] universe states it has served, so it may
-/// be shared across a handful of live universes (or a universe that
-/// grows) without thrashing; touching a generation beyond that window
-/// evicts the least recently served one.
+/// be shared across a handful of live universes without thrashing;
+/// touching a generation beyond that window evicts the least recently
+/// served one. A universe grown one horizon deeper is a new state, with
+/// structures of its own.
 ///
 /// # Example
 ///
@@ -346,16 +344,12 @@ struct CacheInner {
     /// Generations currently cached, most recently served last.
     recent: Vec<u64>,
     map: HashMap<(u64, Structure), Slot>,
-    /// Growth edges between cached universe states
-    /// ([`ClassCache::note_growth`]): a partition miss for `to` rebuilds
-    /// incrementally from `from`'s cached partition instead of cold.
-    links: Vec<GrowthLink>,
 }
 
 impl CacheInner {
     /// Moves `generation` to the back of the window, opening it if it
     /// is new and evicting the least recently served generation's
-    /// entries and links when the window overflows.
+    /// entries when the window overflows.
     fn serve(&mut self, generation: u64) {
         if let Some(i) = self.recent.iter().position(|&g| g == generation) {
             let g = self.recent.remove(i);
@@ -366,18 +360,8 @@ impl CacheInner {
         if self.recent.len() > MAX_CACHED_GENERATIONS {
             let evicted = self.recent.remove(0);
             self.map.retain(|&(g, _), _| g != evicted);
-            self.links.retain(|l| l.from != evicted && l.to != evicted);
         }
     }
-}
-
-/// One recorded growth edge (see [`ClassCache::note_growth`]).
-#[derive(Debug)]
-struct GrowthLink {
-    from: u64,
-    to: u64,
-    /// Old member index → new member index, strictly increasing.
-    map: Arc<Vec<u32>>,
 }
 
 /// Occupancy and build counters of a [`ClassCache`], for the query
@@ -440,36 +424,11 @@ impl ClassCache {
 
     /// The universe generations this cache currently retains partitions
     /// for, least recently served first (diagnostics and tests: the
-    /// length is bounded by [`MAX_CACHED_GENERATIONS`] even across a
-    /// long growth sweep).
+    /// length is bounded by [`MAX_CACHED_GENERATIONS`] however many
+    /// generations it has served).
     #[must_use]
     pub fn cached_generations(&self) -> Vec<u64> {
         self.inner.lock().recent.clone()
-    }
-
-    /// Records that the universe grew in place: `growth` (from
-    /// [`extend_sharded`](crate::extend_sharded)) maps every member of
-    /// the source state into the grown one. The next partition request
-    /// for the grown generation then **diffs the suffix** against the
-    /// source's cached partition — old members inherit their class
-    /// through the map (one signature per surviving class instead of one
-    /// per member) — rather than rebuilding from scratch. Links are
-    /// bounded like partitions: at most [`MAX_CACHED_GENERATIONS`] are
-    /// retained, and links touching an evicted generation die with it.
-    /// Nothing else carries over: a grown generation builds its other
-    /// structures afresh.
-    pub fn note_growth(&self, growth: &GrowthMap) {
-        let mut inner = self.inner.lock();
-        let link = GrowthLink {
-            from: growth.from_generation(),
-            to: growth.to_generation(),
-            map: Arc::new(growth.raw().to_vec()),
-        };
-        inner.links.retain(|l| l.to != link.to);
-        inner.links.push(link);
-        if inner.links.len() > MAX_CACHED_GENERATIONS {
-            inner.links.remove(0);
-        }
     }
 
     /// Fetches the `key` structure of `generation`, building it with
@@ -500,19 +459,6 @@ impl ClassCache {
             .downcast()
             .unwrap_or_else(|_| panic!("{key:?} holds one structure type"))
     }
-
-    /// The cached partition of `p` that a recorded growth edge into
-    /// `generation` starts from, with the edge's member map.
-    fn grown_from(&self, generation: u64, p: ProcessSet) -> Option<(Arc<Classes>, Arc<Vec<u32>>)> {
-        let inner = self.inner.lock();
-        let link = inner.links.iter().find(|l| l.to == generation)?;
-        let source = inner
-            .map
-            .get(&(link.from, Structure::Partition(p.bits())))?
-            .get()?;
-        let classes = Arc::clone(&source.value).downcast().ok()?;
-        Some((classes, Arc::clone(&link.map)))
-    }
 }
 
 impl<'u> IsoIndex<'u> {
@@ -542,9 +488,7 @@ impl<'u> IsoIndex<'u> {
         &self.cache
     }
 
-    /// The `[P]`-partition (cached; rebuilt incrementally when the cache
-    /// holds the source partition of a recorded growth edge — see
-    /// [`ClassCache::note_growth`]).
+    /// The `[P]`-partition (cached).
     #[must_use]
     pub fn classes(&self, p: ProcessSet) -> Arc<Classes> {
         let generation = self.universe.generation();
@@ -553,16 +497,8 @@ impl<'u> IsoIndex<'u> {
             .cache
             .get_or_build(generation, Structure::Partition(p.bits()), || {
                 built = true;
-                match self.cache.grown_from(generation, p) {
-                    Some((old, map)) => {
-                        hpl_telemetry::counter_add("eval.class_cache_grow", 1);
-                        self.grow_classes(p, &old, &map)
-                    }
-                    None => {
-                        hpl_telemetry::counter_add("eval.class_cache_miss", 1);
-                        self.build_classes(p)
-                    }
-                }
+                hpl_telemetry::counter_add("eval.class_cache_miss", 1);
+                self.build_classes(p)
             });
         if !built {
             hpl_telemetry::counter_add("eval.class_cache_hit", 1);
@@ -576,63 +512,6 @@ impl<'u> IsoIndex<'u> {
             projection_signature_into(key, c.events(), p.iter());
         })
         .0
-    }
-
-    /// Rebuilds the `[P]`-partition after an in-place growth, diffing the
-    /// new generation against the source partition `old` instead of
-    /// re-keying every member: growth renumbers event ids *injectively*,
-    /// so two old members share a projection signature in the grown
-    /// space iff they did in the source space — each surviving class
-    /// therefore needs exactly **one** signature computation (its first
-    /// surviving member, to anchor the class among the new members),
-    /// and every later surviving member inherits its class through the
-    /// growth map with no signature at all. New (non-image) members are
-    /// keyed normally; one may be `[P]`-isomorphic to an old class and
-    /// even precede that class's first surviving member, which the
-    /// shared key table resolves to the same class index a cold build
-    /// would pick. The output is byte-equal to [`IsoIndex::build_classes`]
-    /// (certified in `tests/incremental.rs`).
-    fn grow_classes(&self, p: ProcessSet, old: &Classes, map: &[u32]) -> Classes {
-        let n = self.universe.len();
-        // which new ids are images of old members, and of which
-        let mut image_of = vec![UNASSIGNED; n];
-        for (old_idx, &new_idx) in map.iter().enumerate() {
-            image_of[new_idx as usize] = u32::try_from(old_idx).expect("members fit u32");
-        }
-        let mut key_to_class: HashMap<Vec<u64>, u32> = HashMap::new();
-        let mut old_to_new_class = vec![UNASSIGNED; old.class_count()];
-        let mut class_of = vec![0u32; n];
-        let mut key: Vec<u64> = Vec::new();
-        for (id, c) in self.universe.iter() {
-            let idx = id.index();
-            let inherited = (image_of[idx] != UNASSIGNED)
-                .then(|| old.class_of[image_of[idx] as usize] as usize)
-                .filter(|&ocl| old_to_new_class[ocl] != UNASSIGNED)
-                .map(|ocl| old_to_new_class[ocl]);
-            class_of[idx] = match inherited {
-                Some(class) => class,
-                None => {
-                    key.clear();
-                    projection_signature_into(&mut key, c.events(), p.iter());
-                    let next = key_to_class.len() as u32;
-                    let class = match key_to_class.get(&key) {
-                        Some(&class) => class,
-                        None => {
-                            key_to_class.insert(key.clone(), next);
-                            next
-                        }
-                    };
-                    if image_of[idx] != UNASSIGNED {
-                        old_to_new_class[old.class_of[image_of[idx] as usize] as usize] = class;
-                    }
-                    class
-                }
-            };
-        }
-        Classes {
-            class_of,
-            count: key_to_class.len(),
-        }
     }
 
     /// Tests `x [P] y`.
@@ -1138,48 +1017,14 @@ mod tests {
     }
 
     #[test]
-    fn grown_partition_matches_cold_build() {
-        use crate::enumerate::EnumerationLimits;
-        use crate::parallel::{enumerate_sharded, extend_sharded, ShardConfig};
-
-        let cfg = ShardConfig::with_shards(1).checkpoint();
-        let shallow = enumerate_sharded(&GrowClocks, EnumerationLimits::depth(3), &cfg).unwrap();
-        let grown = extend_sharded(
-            &GrowClocks,
-            shallow.frontier.as_ref().unwrap(),
-            EnumerationLimits::depth(5),
-            &cfg,
-        )
-        .unwrap();
-
-        let cache = ClassCache::shared();
-        // warm the source partitions, then record the growth edge
-        let src = IsoIndex::with_cache(shallow.universe.universe(), Arc::clone(&cache));
-        for p in [ps(0), ps(1), ProcessSet::full(2)] {
-            let _ = src.classes(p);
-        }
-        cache.note_growth(grown.growth.as_ref().unwrap());
-
-        let inc = IsoIndex::with_cache(grown.universe.universe(), Arc::clone(&cache));
-        let cold = IsoIndex::new(grown.universe.universe());
-        // EMPTY was never warmed at the source: its request falls back to
-        // a cold build; the warmed sets take the incremental path. All
-        // must be byte-equal to a cold build.
-        for p in [ps(0), ps(1), ProcessSet::full(2), ProcessSet::EMPTY] {
-            let a = inc.classes(p);
-            let b = cold.classes(p);
-            assert_eq!(a, b, "partition of {p}");
-        }
-    }
-
-    #[test]
     fn repeated_growth_keeps_retention_bounded() {
         use crate::enumerate::EnumerationLimits;
         use crate::parallel::{enumerate_sharded, extend_sharded, ShardConfig};
 
-        // a long growth sweep: every step records its edge and serves a
-        // partition; retained generations (and their partitions) must
-        // stay within the window instead of creeping with sweep length
+        // a long growth sweep: every step serves a partition of the
+        // grown universe; retained generations (and their partitions)
+        // must stay within the window instead of creeping with sweep
+        // length
         let cfg = ShardConfig::with_shards(1).checkpoint();
         let cache = ClassCache::shared();
         let mut cur = enumerate_sharded(&GrowClocks, EnumerationLimits::depth(2), &cfg).unwrap();
@@ -1192,11 +1037,8 @@ mod tests {
                 &cfg,
             )
             .unwrap();
-            cache.note_growth(next.growth.as_ref().unwrap());
-            let grown_classes =
+            let _ =
                 IsoIndex::with_cache(next.universe.universe(), Arc::clone(&cache)).classes(ps(0));
-            let cold = IsoIndex::new(next.universe.universe()).classes(ps(0));
-            assert_eq!(grown_classes.class_of, cold.class_of, "depth {d}");
             assert!(
                 cache.cached_generations().len() <= MAX_CACHED_GENERATIONS,
                 "depth {d}: retained generations crept to {:?}",

@@ -102,8 +102,7 @@ pub use enumerate::{
 };
 pub use error::CoreError;
 pub use eval::{
-    eval_propositional, Evaluator, MemoStats, QuotientPolicy, SatCache, SatCacheStats,
-    DEFAULT_SAT_CACHE_CAPACITY,
+    Evaluator, MemoStats, QuotientPolicy, SatCache, SatCacheStats, DEFAULT_SAT_CACHE_CAPACITY,
 };
 pub use fault_universe::{build_fault_universe, FaultModel, FaultStats, FaultUniverse};
 pub use formula::{AtomId, Formula, Interpretation};

@@ -1814,9 +1814,9 @@ fn grow<P: Protocol + Sync + ?Sized>(
 /// the old tree.
 ///
 /// The result's [`ShardedEnumeration::growth`] maps every member of the
-/// source universe to its id in the grown one (useful for carrying
-/// generation-keyed caches forward — see
-/// [`ClassCache::note_growth`](crate::ClassCache)); with
+/// source universe to its id in the grown one. The grown universe has a
+/// generation of its own, so a query service serves it by registering
+/// it like any other (`hpl_runtime::QueryService::register`); with
 /// [`ShardConfig::checkpoint`] set, a fresh frontier at the deeper
 /// horizon is captured too, so growth chains (4 → 6 → 9 → …).
 ///

@@ -61,9 +61,7 @@ impl fmt::Display for CompId {
 /// in the grown state (generation `to_generation`). New computations
 /// splice *between* surviving members in pre-order, so the map is
 /// strictly increasing but not the identity; membership order of the old
-/// members is preserved, which is what lets generation-keyed caches
-/// rebuild incrementally ([`crate::isomorphism::ClassCache::note_growth`])
-/// instead of from scratch.
+/// members is preserved.
 #[derive(Clone, Debug)]
 pub struct GrowthMap {
     from_generation: u64,
@@ -126,12 +124,6 @@ impl GrowthMap {
             .iter()
             .enumerate()
             .map(|(old, &new)| (CompId::new(old), CompId(new)))
-    }
-
-    /// The raw old-index → new-index table.
-    #[must_use]
-    pub(crate) fn raw(&self) -> &[u32] {
-        &self.map
     }
 }
 

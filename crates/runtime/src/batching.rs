@@ -1,6 +1,6 @@
 //! Admission control: coalescing identical in-flight sat-set requests.
 //!
-//! When several clients ask for the same `(generation, formula)` while
+//! When several clients ask one snapshot for the same formula while
 //! the first request is still being evaluated, only the **leader** (the
 //! first arrival) evaluates; every later arrival becomes a
 //! **follower** holding a one-shot receiver, and the leader broadcasts
@@ -33,11 +33,12 @@ enum Ticket<T> {
     Follower(Receiver<T>),
 }
 
-/// The followers waiting on each in-flight formula, by generation: a
-/// lookup borrows the formula, and only a leader clones it in.
-type Inflight<T> = HashMap<u64, HashMap<Formula, Vec<Sender<T>>>>;
+/// The followers waiting on each in-flight formula: a lookup borrows
+/// the formula, and only a leader clones it in.
+type Inflight<T> = HashMap<Formula, Vec<Sender<T>>>;
 
-/// In-flight request coalescing, keyed by `(generation, formula)`.
+/// In-flight request coalescing, keyed by formula. Each snapshot holds
+/// its own table, so every key belongs to that snapshot's generation.
 ///
 /// `T` is the broadcast outcome type; it must be `Clone` so one
 /// leader's result can fan out to every follower.
@@ -59,27 +60,26 @@ impl<T: Clone> Admission<T> {
         }
     }
 
-    /// Serves a request for `f` over `generation` and returns its
-    /// outcome, with `true` when it was coalesced. The first in-flight
-    /// arrival leads: it runs `evaluate` and broadcasts the outcome to
-    /// every duplicate that arrived meanwhile, which blocks for it
-    /// instead of evaluating.
+    /// Serves a request for `f` and returns its outcome, with `true`
+    /// when it was coalesced. The first in-flight arrival leads: it runs
+    /// `evaluate` and broadcasts the outcome to every duplicate that
+    /// arrived meanwhile, which blocks for it instead of evaluating.
     ///
     /// If the leader's `evaluate` unwinds, its entry leaves the table
     /// before the unwind goes on: each waiting follower then runs its
     /// own `evaluate`, and the next identical request leads.
-    pub fn serve(&self, generation: u64, f: &Formula, evaluate: impl FnOnce() -> T) -> (T, bool) {
-        match self.admit(generation, f) {
+    pub fn serve(&self, f: &Formula, evaluate: impl FnOnce() -> T) -> (T, bool) {
+        match self.admit(f) {
             // nothing observes this request's state between the catch
             // and the resumed unwind, so asserting unwind safety is sound
             Ticket::Leader => match catch_unwind(AssertUnwindSafe(evaluate)) {
                 Ok(outcome) => {
-                    self.settle(generation, f, &outcome);
+                    self.settle(f, &outcome);
                     (outcome, false)
                 }
                 Err(panic) => {
                     // dropping the followers' senders disconnects them
-                    drop(self.remove(generation, f));
+                    drop(self.remove(f));
                     resume_unwind(panic)
                 }
             },
@@ -91,22 +91,21 @@ impl<T: Clone> Admission<T> {
         }
     }
 
-    /// Admits a request for `f` over `generation`: the first in-flight
-    /// arrival leads, duplicates follow.
+    /// Admits a request for `f`: the first in-flight arrival leads,
+    /// duplicates follow.
     #[must_use]
-    fn admit(&self, generation: u64, f: &Formula) -> Ticket<T> {
+    fn admit(&self, f: &Formula) -> Ticket<T> {
         // held to function end; nothing under it blocks (the follower
         // channel is created, not received on)
         // analyze:acquire(admission.inflight)
         let mut inflight = self.inflight.lock();
-        let waiting = inflight.entry(generation).or_default();
-        if let Some(followers) = waiting.get_mut(f) {
+        if let Some(followers) = inflight.get_mut(f) {
             let (tx, rx) = unbounded();
             followers.push(tx);
             self.coalesced.fetch_add(1, Ordering::Relaxed);
             Ticket::Follower(rx)
         } else {
-            waiting.insert(f.clone(), Vec::new());
+            inflight.insert(f.clone(), Vec::new());
             self.led.fetch_add(1, Ordering::Relaxed);
             Ticket::Leader
         }
@@ -115,8 +114,8 @@ impl<T: Clone> Admission<T> {
     /// Settles a led request: removes the in-flight entry and
     /// broadcasts `outcome` to every follower that joined while it was
     /// evaluating.
-    fn settle(&self, generation: u64, f: &Formula, outcome: &T) {
-        for w in self.remove(generation, f) {
+    fn settle(&self, f: &Formula, outcome: &T) {
+        for w in self.remove(f) {
             // a follower that gave up (dropped its receiver) is fine
             let _ = w.send(outcome.clone());
         }
@@ -124,15 +123,11 @@ impl<T: Clone> Admission<T> {
 
     /// Takes a led request's entry out of the table, by borrow, and
     /// returns the followers that joined it.
-    fn remove(&self, generation: u64, f: &Formula) -> Vec<Sender<T>> {
+    fn remove(&self, f: &Formula) -> Vec<Sender<T>> {
         // the map guard is a statement temporary — dropped before the
         // caller broadcasts to or disconnects the followers
         // analyze:acquire(admission.inflight) analyze:release(admission.inflight)
-        self.inflight
-            .lock()
-            .get_mut(&generation)
-            .and_then(|waiting| waiting.remove(f))
-            .unwrap_or_default()
+        self.inflight.lock().remove(f).unwrap_or_default()
     }
 
     /// Requests that joined an in-flight leader instead of evaluating.
@@ -150,7 +145,7 @@ impl<T: Clone> Admission<T> {
     /// Number of requests currently in flight (for tests).
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.inflight.lock().values().map(HashMap::len).sum()
+        self.inflight.lock().len()
     }
 }
 
@@ -163,19 +158,19 @@ mod tests {
     fn duplicate_requests_coalesce_until_settled() {
         let adm: Admission<u32> = Admission::new();
         let f = Formula::True;
-        assert!(matches!(adm.admit(7, &f), Ticket::Leader));
-        let Ticket::Follower(rx) = adm.admit(7, &f) else {
+        assert!(matches!(adm.admit(&f), Ticket::Leader));
+        let Ticket::Follower(rx) = adm.admit(&f) else {
             panic!("second arrival must follow");
         };
-        // a different generation is a different request
-        assert!(matches!(adm.admit(8, &f), Ticket::Leader));
+        // a different formula is a different request
+        assert!(matches!(adm.admit(&Formula::False), Ticket::Leader));
         assert_eq!(adm.in_flight(), 2);
 
-        adm.settle(7, &f, &41);
+        adm.settle(&f, &41);
         assert_eq!(rx.recv(), Ok(41));
         assert_eq!(adm.in_flight(), 1);
         // after settling, the next identical request leads again
-        assert!(matches!(adm.admit(7, &f), Ticket::Leader));
+        assert!(matches!(adm.admit(&f), Ticket::Leader));
         assert_eq!(adm.coalesced(), 1);
         assert_eq!(adm.led(), 3);
     }
@@ -186,9 +181,9 @@ mod tests {
         let f = Formula::True;
         let mut follower = None;
         let led = catch_unwind(AssertUnwindSafe(|| {
-            adm.serve(7, &f, || {
+            adm.serve(&f, || {
                 let (shared, g) = (Arc::clone(&adm), f.clone());
-                follower = Some(std::thread::spawn(move || shared.serve(7, &g, || 42)));
+                follower = Some(std::thread::spawn(move || shared.serve(&g, || 42)));
                 // the follower has joined once admission counts it
                 while adm.coalesced() == 0 {
                     std::thread::yield_now();
@@ -202,7 +197,7 @@ mod tests {
         assert_eq!(adm.in_flight(), 0);
         let served = follower.expect("spawned").join().expect("follower");
         assert_eq!(served, (42, false), "the follower evaluates for itself");
-        assert_eq!(adm.serve(7, &f, || 5), (5, false), "the next one leads");
+        assert_eq!(adm.serve(&f, || 5), (5, false), "the next one leads");
         assert_eq!((adm.led(), adm.coalesced()), (2, 1));
     }
 }

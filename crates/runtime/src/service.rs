@@ -30,9 +30,8 @@ use crate::session::Session;
 use hpl_core::isomorphism::ClassCache;
 use hpl_core::parser::MAX_FORMULA_DEPTH;
 use hpl_core::{
-    eval_propositional, ClassCacheStats, CompSet, CoreError, Evaluator, Formula, GrowthMap,
-    Interpretation, Orbits, QuotientPolicy, SatCache, SatCacheStats, Universe,
-    DEFAULT_SAT_CACHE_CAPACITY,
+    ClassCacheStats, CompSet, CoreError, Evaluator, Formula, Interpretation, Orbits,
+    QuotientPolicy, SatCache, SatCacheStats, Universe, DEFAULT_SAT_CACHE_CAPACITY,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -63,9 +62,6 @@ pub enum QueryError {
     Unsound(String),
     /// The service has been dropped.
     ServiceStopped,
-    /// A [`QueryService::reregister`] growth map did not connect the
-    /// currently registered snapshot to the offered universe.
-    GrowthMismatch(String),
     /// An unexpected evaluation failure.
     Internal(String),
 }
@@ -80,9 +76,6 @@ impl fmt::Display for QueryError {
             QueryError::UnknownScenario(s) => write!(f, "unknown scenario: {s}"),
             QueryError::Unsound(m) => write!(f, "query rejected: {m}"),
             QueryError::ServiceStopped => write!(f, "query service stopped"),
-            QueryError::GrowthMismatch(m) => {
-                write!(f, "growth map does not connect the snapshots: {m}")
-            }
             QueryError::Internal(m) => write!(f, "internal evaluation error: {m}"),
         }
     }
@@ -155,7 +148,7 @@ impl Snapshot {
 
     /// Whether this snapshot is still the one registered under its
     /// name, i.e. no later [`QueryService::register`] or
-    /// [`QueryService::reregister`] has replaced it.
+    /// [`QueryService::register_quotient`] has replaced it.
     #[must_use]
     pub fn is_current(&self) -> bool {
         !self.stale.load(Ordering::Relaxed)
@@ -168,9 +161,9 @@ impl Snapshot {
     }
 
     /// What the snapshot's [`ClassCache`] holds and has built: the
-    /// query-independent structures of this generation, plus those of
-    /// the generations it grew from while they stay in the cache's
-    /// window.
+    /// query-independent structures of this snapshot's universe. The
+    /// cache belongs to this snapshot alone, so a snapshot registered
+    /// in its place starts with none.
     #[must_use]
     pub fn structure_stats(&self) -> ClassCacheStats {
         self.classes.stats()
@@ -282,30 +275,33 @@ impl QueryService {
         self.sat_cache_capacity.store(bytes, Ordering::Relaxed);
     }
 
-    /// Registers (or replaces) a plain scenario snapshot. Returns the
-    /// pinned universe generation — the cache key for every
-    /// satisfaction set computed on it.
+    /// Registers a plain scenario snapshot, or replaces the one
+    /// registered under `name`. Returns the pinned universe generation —
+    /// the cache key for every satisfaction set computed on it.
+    ///
+    /// This is also how a grown universe (one
+    /// [`extend_sharded`](hpl_core::extend_sharded) took a horizon
+    /// deeper) enters the service: it is a new model, so it gets a new
+    /// snapshot with its own empty caches. Sessions opened before the
+    /// swap stay pinned to the old snapshot and keep answering against
+    /// it, with [`Session::is_current`](crate::Session::is_current) now
+    /// `false`; a client reopens with [`QueryService::session`] to see
+    /// the new universe. The old snapshot's caches are freed when its
+    /// last session drops.
     pub fn register(
         &self,
         name: &str,
         universe: Arc<Universe>,
         interp: Arc<Interpretation>,
     ) -> u64 {
-        self.install(
-            name,
-            universe,
-            interp,
-            None,
-            QuotientPolicy::default(),
-            ClassCache::shared(),
-            SatCache::shared_with_capacity(self.sat_cache_capacity.load(Ordering::Relaxed)),
-        )
+        self.install(name, universe, interp, None, QuotientPolicy::default())
     }
 
     /// Registers (or replaces) a **symmetry-quotient** scenario
     /// snapshot: knowledge queries quantify over whole orbits, and the
     /// planner selects quotient-vs-full per subtree with the soundness
-    /// classifier under the given policy.
+    /// classifier under the given policy. Replacing follows
+    /// [`QueryService::register`].
     pub fn register_quotient(
         &self,
         name: &str,
@@ -314,165 +310,9 @@ impl QueryService {
         orbits: Arc<Orbits>,
         policy: QuotientPolicy,
     ) -> u64 {
-        self.install(
-            name,
-            universe,
-            interp,
-            Some(orbits),
-            policy,
-            ClassCache::shared(),
-            SatCache::shared_with_capacity(self.sat_cache_capacity.load(Ordering::Relaxed)),
-        )
+        self.install(name, universe, interp, Some(orbits), policy)
     }
 
-    /// Replaces a registered plain scenario with a **grown** universe,
-    /// hot-swapping the snapshot while carrying its caches forward:
-    ///
-    /// * the [`ClassCache`] learns the growth edge
-    ///   ([`ClassCache::note_growth`]), so `[P]`-partitions of the new
-    ///   generation are rebuilt incrementally from the cached ones
-    ///   instead of from scratch; every other structure is keyed by
-    ///   generation, so the new snapshot builds its own on first use;
-    /// * **propositional** [`SatCache`] entries are carried — surviving
-    ///   members keep their verdicts through the growth map and only
-    ///   newly enumerated computations are decided
-    ///   ([`SatCache::carry_forward`]); epistemic entries are dropped
-    ///   (growth can change them anywhere).
-    ///
-    /// Sessions opened before the swap keep answering against the old
-    /// snapshot (internally consistent); they can notice via
-    /// [`Session::is_current`](crate::Session::is_current) and reopen.
-    ///
-    /// Returns the new pinned generation.
-    ///
-    /// # Errors
-    ///
-    /// [`QueryError::UnknownScenario`] if `name` is not registered;
-    /// [`QueryError::GrowthMismatch`] if `growth` does not connect the
-    /// registered snapshot's generation to `universe`'s, does not cover
-    /// the registered universe, or the scenario kind (plain vs
-    /// quotient) changes.
-    pub fn reregister(
-        &self,
-        name: &str,
-        universe: Arc<Universe>,
-        interp: Arc<Interpretation>,
-        growth: &GrowthMap,
-    ) -> Result<u64, QueryError> {
-        self.reinstall(
-            name,
-            universe,
-            interp,
-            None,
-            QuotientPolicy::default(),
-            growth,
-        )
-    }
-
-    /// [`QueryService::reregister`] for quotient scenarios: the grown
-    /// representative universe plus its orbit structure. Cache
-    /// carry-over and staleness semantics are identical.
-    ///
-    /// # Errors
-    ///
-    /// As [`QueryService::reregister`].
-    pub fn reregister_quotient(
-        &self,
-        name: &str,
-        universe: Arc<Universe>,
-        interp: Arc<Interpretation>,
-        orbits: Arc<Orbits>,
-        policy: QuotientPolicy,
-        growth: &GrowthMap,
-    ) -> Result<u64, QueryError> {
-        self.reinstall(name, universe, interp, Some(orbits), policy, growth)
-    }
-
-    #[allow(clippy::needless_pass_by_value)]
-    fn reinstall(
-        &self,
-        name: &str,
-        universe: Arc<Universe>,
-        interp: Arc<Interpretation>,
-        orbits: Option<Arc<Orbits>>,
-        policy: QuotientPolicy,
-        growth: &GrowthMap,
-    ) -> Result<u64, QueryError> {
-        let old = self
-            .snapshot(name)
-            .ok_or_else(|| QueryError::UnknownScenario(name.to_owned()))?;
-        if growth.from_generation() != old.generation {
-            return Err(QueryError::GrowthMismatch(format!(
-                "growth starts at generation {} but '{name}' is registered at {}",
-                growth.from_generation(),
-                old.generation
-            )));
-        }
-        let generation = universe.generation();
-        if growth.to_generation() != generation {
-            return Err(QueryError::GrowthMismatch(format!(
-                "growth ends at generation {} but the offered universe is at {generation}",
-                growth.to_generation()
-            )));
-        }
-        if growth.len() != old.universe.len() {
-            return Err(QueryError::GrowthMismatch(format!(
-                "growth maps {} computations but '{name}' holds {}",
-                growth.len(),
-                old.universe.len()
-            )));
-        }
-        if old.orbits.is_some() != orbits.is_some() {
-            return Err(QueryError::GrowthMismatch(format!(
-                "'{name}' cannot change kind ({} registered, {} offered)",
-                if old.orbits.is_some() {
-                    "quotient"
-                } else {
-                    "plain"
-                },
-                if orbits.is_some() {
-                    "quotient"
-                } else {
-                    "plain"
-                },
-            )));
-        }
-
-        // carry the partition cache: record the edge so the next
-        // classes() call on the new generation grows incrementally
-        let classes = Arc::clone(&old.classes);
-        classes.note_growth(growth);
-
-        // carry propositional satisfaction sets: remap survivors, decide
-        // only the newly enumerated computations
-        let sats = Arc::clone(&old.sats);
-        let mut image = vec![false; universe.len()];
-        for (_, new) in growth.iter() {
-            image[new.index()] = true;
-        }
-        let carried = sats.carry_forward(old.generation, generation, |f, old_sat| {
-            if !f.is_propositional() {
-                return None;
-            }
-            let mut sat = CompSet::new(universe.len());
-            for (o, n) in growth.iter() {
-                if old_sat.contains(o.index()) {
-                    sat.insert(n.index());
-                }
-            }
-            for (id, c) in universe.iter() {
-                if !image[id.index()] && eval_propositional(f, &interp, c)? {
-                    sat.insert(id.index());
-                }
-            }
-            Some(sat)
-        });
-        hpl_telemetry::counter_add("service.sat_carried", carried as u64);
-
-        Ok(self.install(name, universe, interp, orbits, policy, classes, sats))
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn install(
         &self,
         name: &str,
@@ -480,8 +320,6 @@ impl QueryService {
         interp: Arc<Interpretation>,
         orbits: Option<Arc<Orbits>>,
         policy: QuotientPolicy,
-        classes: Arc<ClassCache>,
-        sats: Arc<SatCache>,
     ) -> u64 {
         let generation = universe.generation();
         let snapshot = Arc::new(Snapshot {
@@ -491,8 +329,8 @@ impl QueryService {
             orbits,
             policy,
             generation,
-            classes,
-            sats,
+            classes: ClassCache::shared(),
+            sats: SatCache::shared_with_capacity(self.sat_cache_capacity.load(Ordering::Relaxed)),
             admission: Admission::new(),
             stale: AtomicBool::new(false),
         });

@@ -76,11 +76,12 @@ impl Session {
     }
 
     /// Whether this session's snapshot is still the one registered
-    /// under its scenario name. After a hot-swap
-    /// ([`crate::QueryService::reregister`]) this turns `false`: the
-    /// session keeps answering against its pinned (old) snapshot, and
-    /// the client reopens via [`crate::QueryService::session`] when it
-    /// wants the grown universe.
+    /// under its scenario name. Once a later
+    /// [`crate::QueryService::register`] (or `register_quotient`)
+    /// replaces it under that name, for instance with a grown universe,
+    /// this turns `false`: the session keeps answering against its
+    /// pinned (old) snapshot, and the client reopens via
+    /// [`crate::QueryService::session`] when it wants the new one.
     #[must_use]
     pub fn is_current(&self) -> bool {
         self.snapshot.is_current()
@@ -138,7 +139,6 @@ impl Session {
             let _plan = hpl_telemetry::span("query.plan");
             self.snapshot.plan(f)
         };
-        let generation = self.snapshot.generation;
         let _eval = hpl_telemetry::span("query.eval");
         if self.stopped.load(Ordering::Relaxed) {
             return Err(QueryError::ServiceStopped);
@@ -146,7 +146,7 @@ impl Session {
         let (outcome, coalesced) = self
             .snapshot
             .admission
-            .serve(generation, plan.root(), || self.snapshot.evaluate(&plan));
+            .serve(plan.root(), || self.snapshot.evaluate(&plan));
         drop(_eval);
         let _respond = hpl_telemetry::span("query.respond");
         if coalesced {
@@ -155,7 +155,7 @@ impl Session {
         let sat = outcome?;
         Ok(QueryResponse {
             scenario: self.snapshot.name().to_owned(),
-            generation,
+            generation: self.snapshot.generation,
             plan: plan.stats(),
             formula: plan.into_root(),
             count: sat.count(),

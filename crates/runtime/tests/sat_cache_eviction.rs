@@ -1,8 +1,8 @@
 //! Size-aware eviction of the cross-query satisfaction cache
 //! (`SatCache`): the resident-bytes estimate is capped at a fixed
 //! capacity, publishing past it sheds least-recently-**served**
-//! entries, a hot entry survives arbitrary churn as long as it keeps
-//! being served, and `carry_forward` keeps working under the bound.
+//! entries, and a hot entry survives arbitrary churn as long as it
+//! keeps being served.
 //! Closes the ROADMAP "cache eviction" follow-on to the query service.
 
 use hpl_core::{
@@ -85,26 +85,6 @@ fn a_single_oversized_entry_is_still_cached() {
     assert!(cache.lookup(1, &probe(1)).is_some());
     assert!(cache.lookup(1, &probe(0)).is_none());
     assert_eq!(cache.stats().entries, 1);
-}
-
-#[test]
-fn carry_forward_republishes_under_the_cap() {
-    let cost = one_entry_cost();
-    let cache = SatCache::shared_with_capacity(4 * cost);
-    for i in 0..3 {
-        cache.publish(1, &probe(i), &CompSet::full(64));
-    }
-    let carried = cache.carry_forward(1, 2, |_, s| Some(s.clone()));
-    assert_eq!(carried, 3, "every source entry is transferable here");
-    let stats = cache.stats();
-    assert!(
-        stats.entries <= 4,
-        "carried entries obey the cap, got {} entries",
-        stats.entries
-    );
-    assert!(stats.resident_bytes <= stats.capacity_bytes);
-    // the carried generation is servable
-    assert!(cache.lookup(2, &probe(2)).is_some());
 }
 
 /// Structurally distinct service-level queries: nested implication

@@ -1,34 +1,33 @@
-//! Warm growth of the query service: register a scenario at a shallow
-//! horizon, grow its universe in place with `extend_sharded`, hot-swap
-//! the snapshot via `reregister`, and certify that
+//! Growth under the query service: register a scenario at a shallow
+//! horizon, grow its universe with `extend_sharded`, hot-swap the
+//! snapshot by registering the grown universe under the same name, and
+//! certify that
 //!
 //! * answers from the swapped service are **byte-identical** to a
 //!   fresh service registered directly on the grown universe,
-//! * propositional satisfaction-cache entries survive the swap (the
-//!   first post-swap query is a cache *hit*, observed on the snapshot's
-//!   hit counters and the `service.sat_carried` telemetry counter),
+//! * the swapped-in snapshot starts with empty caches of its own,
 //! * sessions opened before the swap notice via `is_current` and keep
 //!   answering against their pinned snapshot, and
-//! * disconnected growth maps are rejected with `GrowthMismatch`.
+//! * the old snapshot (and the caches it owns) is freed once its last
+//!   session drops.
 
 use hpl_core::{
-    enumerate_sharded, extend_sharded, EnumerationLimits, Formula, GrowthMap, Interpretation,
-    QuotientPolicy, ShardConfig, Universe,
+    enumerate_sharded, extend_sharded, EnumerationLimits, Formula, Interpretation, QuotientPolicy,
+    ShardConfig, Universe,
 };
 use hpl_model::ProcessSet;
 use hpl_protocols::token_bus::{self, TokenBus};
-use hpl_runtime::{QueryError, QueryService};
+use hpl_runtime::QueryService;
 use std::sync::Arc;
 
 const SHALLOW: usize = 6;
 const DEEP: usize = 8;
 
-/// Shallow + grown universes of the 3-process token bus, the growth
-/// map connecting them, and the shared interpretation.
+/// Shallow + grown universes of the 3-process token bus and the shared
+/// interpretation.
 struct Grown {
     old_universe: Arc<Universe>,
     new_universe: Arc<Universe>,
-    growth: GrowthMap,
     interp: Arc<Interpretation>,
     atoms: Vec<Formula>,
 }
@@ -46,14 +45,13 @@ fn grow_token_bus(shards: usize) -> Grown {
     Grown {
         old_universe: Arc::new(shallow.universe.into_universe()),
         new_universe: Arc::new(grown.universe.into_universe()),
-        growth: grown.growth.expect("extension yields a growth map"),
         interp: Arc::new(interp),
         atoms,
     }
 }
 
-/// Propositional formulas (carry-forward candidates) followed by
-/// epistemic ones (must be recomputed on the grown universe).
+/// Propositional formulas followed by epistemic ones, whose verdicts
+/// the grown universe can change anywhere.
 fn corpus(atoms: &[Formula]) -> Vec<Formula> {
     let t0 = atoms[0].clone();
     let t1 = atoms[1].clone();
@@ -73,8 +71,7 @@ fn corpus(atoms: &[Formula]) -> Vec<Formula> {
 }
 
 #[test]
-fn hot_swap_matches_fresh_service_and_reuses_sat_entries() {
-    hpl_telemetry::set_enabled(true);
+fn hot_swap_matches_fresh_service_and_frees_the_old_snapshot() {
     let g = grow_token_bus(2);
     let queries = corpus(&g.atoms);
 
@@ -88,21 +85,13 @@ fn hot_swap_matches_fresh_service_and_reuses_sat_entries() {
         stale_session.query_formula(f).expect("warm query");
     }
 
-    // hot-swap to the grown universe
-    let new_gen = service
-        .reregister(
-            "bus",
-            Arc::clone(&g.new_universe),
-            Arc::clone(&g.interp),
-            &g.growth,
-        )
-        .expect("growth map connects the snapshots");
+    // hot-swap to the grown universe: a new snapshot with empty caches
+    let new_gen = service.register("bus", Arc::clone(&g.new_universe), Arc::clone(&g.interp));
     assert_eq!(new_gen, g.new_universe.generation());
     assert_ne!(new_gen, old_gen);
-    assert!(
-        hpl_telemetry::snapshot().counter("service.sat_carried") >= 4,
-        "the four propositional corpus entries should carry"
-    );
+    let snap = service.snapshot("bus").expect("registered");
+    assert_eq!(snap.structure_stats().structures, 0);
+    assert_eq!(snap.sat_cache_stats().entries, 0);
 
     // the pre-swap session keeps its pinned snapshot, and knows it
     assert!(!stale_session.is_current());
@@ -118,20 +107,8 @@ fn hot_swap_matches_fresh_service_and_reuses_sat_entries() {
     assert!(session.is_current());
     assert_eq!(session.generation(), new_gen);
 
-    // ...and its first propositional query is answered from the
-    // carried cache: hits move, misses don't
-    let snap = service.snapshot("bus").expect("registered");
-    let before = snap.sat_cache_stats();
-    let carried_resp = session.query_formula(&queries[1]).expect("carried query");
-    let after = snap.sat_cache_stats();
-    assert_eq!(carried_resp.generation, new_gen);
-    assert!(
-        after.hits > before.hits,
-        "carried propositional entry should hit ({before:?} -> {after:?})"
-    );
-
     // every answer matches a cold service registered on the grown
-    // universe directly — including the carried ones
+    // universe directly
     let fresh = QueryService::start(2);
     fresh.register("bus", Arc::clone(&g.new_universe), Arc::clone(&g.interp));
     let fresh_session = fresh.session("bus").expect("registered");
@@ -145,8 +122,19 @@ fn hot_swap_matches_fresh_service_and_reuses_sat_entries() {
             "satisfaction set for {}",
             f.display_raw()
         );
+        assert_eq!(warm.generation, new_gen);
         assert_eq!(warm.universe_len, g.new_universe.len());
     }
+
+    // the stale session was the old snapshot's last holder: dropping it
+    // frees the snapshot and the caches it owns
+    let old_snapshot = Arc::downgrade(stale_session.snapshot());
+    assert!(old_snapshot.upgrade().is_some());
+    drop(stale_session);
+    assert!(
+        old_snapshot.upgrade().is_none(),
+        "a replaced snapshot outlives its last session"
+    );
 }
 
 #[test]
@@ -158,7 +146,6 @@ fn quotient_hot_swap_matches_fresh_service() {
     let frontier = shallow.frontier.as_ref().expect("checkpoint requested");
     let grown = extend_sharded(&protocol, frontier, EnumerationLimits::depth(DEEP), &cfg)
         .expect("quotient extension");
-    let growth = grown.growth.expect("growth map");
     let new_orbits = Arc::new(grown.orbits.expect("quotient orbits"));
     let old_orbits = Arc::new(shallow.orbits.expect("quotient orbits"));
     let old_universe = Arc::new(shallow.universe.into_universe());
@@ -189,17 +176,17 @@ fn quotient_hot_swap_matches_fresh_service() {
         session.query_formula(f).expect("warm query");
     }
 
-    let new_gen = service
-        .reregister_quotient(
-            "bus",
-            Arc::clone(&new_universe),
-            Arc::clone(&interp),
-            Arc::clone(&new_orbits),
-            QuotientPolicy::Expand,
-            &growth,
-        )
-        .expect("quotient growth map connects");
+    let new_gen = service.register_quotient(
+        "bus",
+        Arc::clone(&new_universe),
+        Arc::clone(&interp),
+        Arc::clone(&new_orbits),
+        QuotientPolicy::Expand,
+    );
     assert!(!session.is_current());
+    let snap = service.snapshot("bus").expect("registered");
+    assert_eq!(snap.structure_stats().structures, 0);
+    assert_eq!(snap.sat_cache_stats().entries, 0);
 
     let fresh = QueryService::start(2);
     fresh.register_quotient(
@@ -222,74 +209,11 @@ fn quotient_hot_swap_matches_fresh_service() {
             f.display_raw()
         );
     }
-}
 
-#[test]
-fn reregister_rejects_disconnected_growth() {
-    let g = grow_token_bus(1);
-    let service = QueryService::start(1);
-
-    // nothing registered under the name yet
-    assert!(matches!(
-        service.reregister(
-            "bus",
-            Arc::clone(&g.new_universe),
-            Arc::clone(&g.interp),
-            &g.growth
-        ),
-        Err(QueryError::UnknownScenario(_))
-    ));
-
-    // registered at the *deep* generation: a map starting from the
-    // shallow one does not connect
-    service.register("bus", Arc::clone(&g.new_universe), Arc::clone(&g.interp));
-    let err = service
-        .reregister(
-            "bus",
-            Arc::clone(&g.new_universe),
-            Arc::clone(&g.interp),
-            &g.growth,
-        )
-        .expect_err("growth starts at the wrong generation");
-    assert!(matches!(err, QueryError::GrowthMismatch(_)), "{err}");
-
-    // correctly anchored source, but the offered universe is not the
-    // map's target
-    service.register("bus", Arc::clone(&g.old_universe), Arc::clone(&g.interp));
-    let err = service
-        .reregister(
-            "bus",
-            Arc::clone(&g.old_universe),
-            Arc::clone(&g.interp),
-            &g.growth,
-        )
-        .expect_err("growth ends past the offered universe");
-    assert!(matches!(err, QueryError::GrowthMismatch(_)), "{err}");
-
-    // kind change: plain scenario cannot be swapped for a quotient one
-    let cfg = ShardConfig::with_shards(1).quotient().checkpoint();
-    let protocol = TokenBus::with_chatter(3, 1);
-    let shallow = enumerate_sharded(&protocol, EnumerationLimits::depth(SHALLOW), &cfg)
-        .expect("quotient enumeration");
-    let frontier = shallow.frontier.as_ref().expect("checkpoint");
-    let grown = extend_sharded(&protocol, frontier, EnumerationLimits::depth(DEEP), &cfg)
-        .expect("extension");
-    let q_growth = grown.growth.expect("growth map");
-    let q_orbits = Arc::new(grown.orbits.expect("orbits"));
-    service.register(
-        "qbus",
-        Arc::new(shallow.universe.into_universe()),
-        Arc::clone(&g.interp),
+    let old_snapshot = Arc::downgrade(session.snapshot());
+    drop(session);
+    assert!(
+        old_snapshot.upgrade().is_none(),
+        "a replaced snapshot outlives its last session"
     );
-    let err = service
-        .reregister_quotient(
-            "qbus",
-            Arc::new(grown.universe.into_universe()),
-            Arc::clone(&g.interp),
-            q_orbits,
-            QuotientPolicy::Expand,
-            &q_growth,
-        )
-        .expect_err("kind change must be rejected");
-    assert!(matches!(err, QueryError::GrowthMismatch(_)), "{err}");
 }
