@@ -11,8 +11,9 @@
 //! leaf. [`extend_sharded`] grows a checkpoint the caller kept.
 //! [`enumerate_sharded`] grows the empty (depth-0) frontier to a split
 //! depth on the calling thread, checkpoints that prefix, and then grows
-//! the prefix frontier to the horizon; the prefix's leaves are the
-//! *tasks*.
+//! the prefix frontier to the horizon. With several shards the leaf cut
+//! is cut into contiguous **runs** of leaves, a few per shard, and each
+//! run is one *task*.
 //!
 //! - **Partitioned-id exploration.** An explorer moves to a leaf by
 //!   undoing to the common prefix of the two paths and applying the
@@ -21,20 +22,23 @@
 //!   records and interns the events it discovers into its own **id
 //!   partition**: dense `u32` ids, meaningful only within that
 //!   partition, so exploration touches no shared state beyond the atomic
-//!   budget. With several shards, the tasks go onto a shared queue (a
-//!   `crossbeam` channel; the vendored stand-in's receiver is
-//!   single-consumer, so it sits behind a `parking_lot` mutex) from which
-//!   worker threads pull dynamically. Each task gets a fresh partition,
-//!   and every full buffer ships as one **batch**. With one shard, a
-//!   single explorer visits the leaves in splice order with one partition
-//!   for the whole run, and each buffer is merged in place.
+//!   budget, which it charges once per chunk of nodes. With several
+//!   shards, worker threads claim runs in splice order by bumping a
+//!   shared index. Each run gets one explorer and one fresh partition;
+//!   the explorer moves from leaf to leaf with `goto`, and every full
+//!   buffer ships as one **batch**, which may span leaves and records
+//!   where each leaf's records and partition entries end. With one
+//!   shard, a single explorer visits every leaf with one partition for
+//!   the whole build, and each buffer is merged in place.
 //! - **Streaming merge + renumbering** (the calling thread, concurrent
-//!   with the workers): batches are consumed in **splice order**, the
-//!   pre-order position of each task's leaf, as they arrive. Each batch's
-//!   new partition-table entries are **renumbered** into the single
-//!   global event space in one pass (one intern per *unique* event per
-//!   partition, not per node), which reproduces the sequential engine's
-//!   event-id assignment exactly. Node records then replay through a
+//!   with the workers): leaves are spliced in **splice order**, their
+//!   pre-order position, as their runs' batches arrive. At each leaf the
+//!   merge **renumbers** only that leaf's new partition-table entries
+//!   into the single global event space (one intern per *unique* event
+//!   per partition, not per node) and replays only its records. That
+//!   reproduces the sequential engine's event-id assignment exactly: a
+//!   dead-end frontier branch between two leaves of one run interns its
+//!   events before the later leaf's. Node records replay through a
 //!   depth-truncated path stack and enter the universe via trusted fast
 //!   paths.
 //!
@@ -43,14 +47,14 @@
 //! consumed — not by the total node count — and the in-flight side is
 //! **hard-capped** by a batch-credit scheme
 //! ([`ShardConfig::max_buffered_batches`]): a worker shipping a batch
-//! for any task other than the one the merge is splicing must hold a
-//! credit, returned when the batch is consumed, so even the adversarial
-//! schedule (one slow early task, many fast later ones) cannot grow the
-//! reorder buffer past the cap; head-task batches throttle against an
-//! equally-sized slot window, so a fast producer cannot pile them into
-//! the result channel ahead of a slow merge either. With one shard
-//! nothing is buffered at all: each batch is merged the moment it is
-//! produced.
+//! for any run other than the one the merge is splicing must hold a
+//! credit, returned when the merge takes the batch, so even the
+//! adversarial schedule (one slow early run, many fast later ones)
+//! cannot grow the reorder buffer past the cap; head-run batches
+//! throttle against an equally-sized slot window, so a fast producer
+//! cannot pile them into the result channel ahead of a slow merge
+//! either. With one shard nothing is buffered at all: each batch is
+//! merged the moment it is produced.
 //! [`EnumerationStats`] reports the observed bound
 //! (`peak_buffered_bytes`, `largest_batch_bytes`) and the active merge
 //! time (`merge_wall_ms`).
@@ -83,7 +87,7 @@ use crate::enumerate::{
 use crate::error::CoreError;
 use crate::symmetry::{OrbitDecision, Orbits, QuotientState};
 use crate::universe::{GrowthMap, Universe};
-use crossbeam::channel::{self, Sender};
+use crossbeam::channel::{self, Receiver, Sender};
 use hpl_model::{ActionId, Computation, Event, EventId, EventKind, MessageId, ProcessId};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -108,14 +112,14 @@ pub struct ShardConfig {
     /// explored at its splice point and merged as it goes, so no batch is
     /// ever parked).
     pub shards: usize,
-    /// Tree depth at which frontier nodes become worker tasks; `None`
-    /// picks a small default. The output is independent of this knob —
+    /// Tree depth of the leaf cut whose leaves are cut into worker runs;
+    /// `None` picks a small default. The output is independent of this knob —
     /// it only shapes scheduling granularity.
     pub split_depth: Option<usize>,
     /// Maximum node records per streamed batch. Workers flush a batch to
     /// the merge whenever this many records accumulate, so peak merge
-    /// memory is bounded by the batches in flight rather than a task's
-    /// whole subtree. The output is independent of this knob; smaller
+    /// memory is bounded by the batches in flight rather than a run's
+    /// whole output. The output is independent of this knob; smaller
     /// batches tighten the memory bound at the cost of more channel
     /// traffic. Clamped to at least 1.
     pub batch_nodes: usize,
@@ -129,14 +133,14 @@ pub struct ShardConfig {
     /// through [`Evaluator::with_symmetry`](crate::Evaluator::with_symmetry).
     pub quotient: bool,
     /// Hard cap on finished-but-not-yet-spliced batches the merge may
-    /// park in its reorder buffer. Workers producing for a task other
+    /// park in its reorder buffer. Workers producing for a run other
     /// than the one the merge is currently splicing must hold one of
     /// these **batch credits** per in-flight batch; on the adversarial
-    /// schedule — one slow early task, many fast later ones — this
+    /// schedule — one slow early run, many fast later ones — this
     /// bounds `peak_buffered_bytes` by
     /// `max_buffered_batches × largest_batch_bytes` plus the batch being
     /// consumed, where it used to grow with the whole remaining tree.
-    /// The head task's own batches never park, but they throttle
+    /// The head run's own batches never park, but they throttle
     /// against an equally-sized **head-slot window** so a fast producer
     /// cannot pile them into the result channel ahead of a slow merge
     /// either: total in-flight batches (parked + channel) stay within
@@ -268,7 +272,10 @@ pub struct EnumerationStats {
     /// Computations kept in the universe (equals `explored` outside
     /// quotient mode).
     pub unique: usize,
-    /// Frontier tasks distributed to workers.
+    /// Worker tasks: the runs of consecutive leaf-cut leaves the workers
+    /// claimed, at most a few per shard (`1` when one explorer walked
+    /// every leaf on the calling thread, `0` when nothing lies below the
+    /// cut).
     pub tasks: usize,
     /// Worker threads used.
     pub shards: usize,
@@ -282,7 +289,10 @@ pub struct EnumerationStats {
     /// the classes below its frontier, the ones it newly decides.
     pub canonical_keys: usize,
     /// Record batches streamed through the merge (≥ `tasks`; grows as
-    /// [`ShardConfig::batch_nodes`] shrinks).
+    /// [`ShardConfig::batch_nodes`] shrinks). A worker ships one batch
+    /// per full buffer and one at the end of each run, so with several
+    /// shards the count depends on the runs, not on the schedule; the
+    /// one-shard path merges a batch at the end of every leaf.
     pub batches: usize,
     /// Time the merge spent actively renumbering and inserting records
     /// (excludes time blocked waiting for workers), in milliseconds.
@@ -488,23 +498,37 @@ struct NodeRec {
     local: LocalId,
 }
 
-/// A leaf subtree for a worker: the step path from the root to the leaf
-/// (the leaf itself is replayed from the frontier by [`drive`]).
-#[derive(Debug)]
-struct Task {
-    id: usize,
-    path: Vec<StepDesc>,
+/// Runs each shard's share of the leaf cut is cut into: with several
+/// shards, every run of consecutive leaves is one worker task. A few
+/// per shard let an idle worker take work a busy one has not started,
+/// while what a task costs — an explorer, an id partition, a batch
+/// through the gate and the channel, a wake of the merge — is paid a
+/// few dozen times per build rather than once per leaf.
+const RUNS_PER_SHARD: usize = 4;
+
+/// Nodes an explorer counts before charging them to the shared
+/// [`Budget`] in one add, so the counter is written once per chunk
+/// rather than once per node.
+const CHARGE_CHUNK: usize = 1024;
+
+/// Where one leaf's output ends within a batch: offsets into the batch's
+/// node records and into its partition-table entries.
+#[derive(Clone, Copy, Default)]
+struct LeafEnd {
+    nodes: usize,
+    defs: usize,
 }
 
-/// One streamed unit of worker output: the partition-table entries
-/// discovered since the previous batch of the same task, plus a run of
-/// pre-order node records. `last` marks the task's final batch;
-/// `credited` records whether the producer holds a reorder-buffer
-/// credit for it (released when the merge consumes the batch).
-struct TaskBatch {
+/// One streamed unit of a run's output: the partition-table entries
+/// discovered since the run's previous batch, a stretch of pre-order
+/// node records that may span leaves, and the end of every leaf that
+/// finished inside it. `credited` records whether the producer holds a
+/// reorder-buffer credit for it (released when the merge takes the
+/// batch).
+struct RunBatch {
     defs: Vec<EventDef>,
     nodes: Vec<NodeRec>,
-    last: bool,
+    ends: Vec<LeafEnd>,
     credited: bool,
 }
 
@@ -513,14 +537,18 @@ fn batch_bytes(defs: &[EventDef], nodes: &[NodeRec]) -> usize {
     std::mem::size_of_val(defs) + std::mem::size_of_val(nodes)
 }
 
-impl TaskBatch {
+impl RunBatch {
     fn approx_bytes(&self) -> usize {
-        batch_bytes(&self.defs, &self.nodes)
+        batch_bytes(&self.defs, &self.nodes) + std::mem::size_of_val(self.ends.as_slice())
     }
 }
 
 /// Shared exploration budget: one global node counter enforcing
-/// `max_computations` across all shards.
+/// `max_computations` across all shards. Explorers charge it once per
+/// [`CHARGE_CHUNK`] nodes and once when their leaves are done, so every
+/// node is charged by the end and a tree of `N` nodes trips it exactly
+/// when `N > max_computations`; a runaway tree is stopped within one
+/// chunk per worker.
 struct Budget {
     explored: AtomicUsize,
     max: usize,
@@ -538,13 +566,14 @@ impl Budget {
         }
     }
 
-    /// Accounts one node. On budget exhaustion, records the error and
-    /// raises the abort flag so sibling workers stop promptly.
-    fn charge(&self) -> Result<(), ()> {
+    /// Accounts `nodes` more nodes. On budget exhaustion, records the
+    /// error and raises the abort flag so sibling workers stop at their
+    /// next charge.
+    fn charge(&self, nodes: usize) -> Result<(), ()> {
         if self.abort.load(Ordering::Relaxed) {
             return Err(());
         }
-        if self.explored.fetch_add(1, Ordering::Relaxed) >= self.max {
+        if self.explored.fetch_add(nodes, Ordering::Relaxed) + nodes > self.max {
             self.fail(CoreError::EnumerationBudgetExceeded {
                 max_computations: self.max,
             });
@@ -565,32 +594,32 @@ impl Budget {
 
 /// The batch-credit gate bounding the merge's in-flight batches.
 ///
-/// A worker about to ship a batch for task `t` first calls
-/// [`ReorderGate::admit`]. If `t` is **not** the task the merge is
+/// A worker about to ship a batch for run `r` first calls
+/// [`ReorderGate::admit`]. If `r` is **not** the run the merge is
 /// currently splicing (the *head*), the batch must take one of
 /// `max_buffered_batches` *parked credits*, blocking the worker until a
-/// parked batch is consumed (releasing its credit), the head advances
-/// to the worker's task, or the run shuts down; since every such batch
+/// parked batch is taken (releasing its credit), the head advances to
+/// the worker's run, or the build shuts down; since every such batch
 /// holds a credit from send to consumption, the reorder buffer — and
 /// its share of the unbounded result channel — can never exceed the
-/// cap. Head-task batches never park, but they can still outrun a slow
+/// cap. Head-run batches never park, but they can still outrun a slow
 /// merge *inside the channel* (the merge is the serial section in
 /// quotient mode), so they take a *head slot* from an equally-sized
-/// window instead, released as the merge consumes them — total
-/// in-flight batches are therefore hard-bounded by `2 ×
-/// max_buffered_batches`, not just the parked side.
+/// window instead, released as the merge takes them — total in-flight
+/// batches are therefore hard-bounded by `2 × max_buffered_batches`,
+/// not just the parked side.
 ///
-/// Deadlock-freedom: tasks are queued and pulled in splice order, so
-/// when the merge waits on head task `h`, either a worker is already
-/// producing `h` or `h` is still queued and some worker — having
-/// finished an earlier task — will pull it next; workers blocked on
-/// parked credits are by definition producing for tasks *after* `h`,
-/// whose batches the merge does not need yet, and a worker blocked on
-/// a head slot implies a full window of `h`-batches already sits in
-/// the channel for the merge to consume (each consumption releases a
-/// slot). [`ReorderGate::set_head`] wakes waiters whenever the merge
-/// advances, and [`ReorderGate::shutdown`] (abort or teardown) opens
-/// the gate unconditionally so no worker outlives the run blocked.
+/// Deadlock-freedom: runs are claimed in splice order, so when the
+/// merge waits on head run `h`, either a worker is already producing
+/// `h` or `h` is unclaimed and every claimed run is finished, so the
+/// next worker to look claims it; workers blocked on parked credits
+/// are by definition producing for runs *after* `h`, whose batches the
+/// merge does not need yet, and a worker blocked on a head slot implies
+/// a full window of `h`-batches already sits in the channel for the
+/// merge to take (each take releases a slot). [`ReorderGate::set_head`]
+/// wakes waiters whenever the merge advances, and
+/// [`ReorderGate::shutdown`] (abort or teardown) opens the gate
+/// unconditionally so no worker outlives the build blocked.
 struct ReorderGate {
     state: std::sync::Mutex<GateState>,
     cv: std::sync::Condvar,
@@ -623,11 +652,11 @@ impl ReorderGate {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Blocks until the batch for `task` may be shipped; returns whether
+    /// Blocks until the batch for `run` may be shipped; returns whether
     /// a parked credit was consumed (`true` exactly for batches that may
-    /// park — head-task batches take a head slot instead and return
+    /// park — head-run batches take a head slot instead and return
     /// `false`).
-    fn admit(&self, task: usize) -> bool {
+    fn admit(&self, run: usize) -> bool {
         // analyze:acquire(enum.gate)
         let mut s = self.lock();
         // credit-stall accounting: first blocked iteration starts the
@@ -637,7 +666,7 @@ impl ReorderGate {
             if s.open {
                 break false;
             }
-            if s.head == task {
+            if s.head == run {
                 if s.head_slots > 0 {
                     s.head_slots -= 1;
                     break false;
@@ -666,16 +695,16 @@ impl ReorderGate {
         credited
     }
 
-    /// Returns a consumed parked batch's credit to the pool.
+    /// Returns a taken parked batch's credit to the pool.
     fn release(&self) {
         // analyze:acquire(enum.gate) analyze:release(enum.gate)
         self.lock().credits += 1;
         self.cv.notify_all();
     }
 
-    /// Returns a consumed head batch's slot to the window. (After
+    /// Returns a taken head batch's slot to the window. (After
     /// [`ReorderGate::shutdown`] uncredited batches bypassed the gate,
-    /// so the counter may grow past the window — harmless, the run is
+    /// so the counter may grow past the window — harmless, the build is
     /// tearing down and `open` short-circuits every admit.)
     fn release_head(&self) {
         // analyze:acquire(enum.gate) analyze:release(enum.gate)
@@ -683,11 +712,11 @@ impl ReorderGate {
         self.cv.notify_all();
     }
 
-    /// The merge is now splicing `task`: its batches take head slots
+    /// The merge is now splicing `run`: its batches take head slots
     /// rather than parked credits.
-    fn set_head(&self, task: usize) {
+    fn set_head(&self, run: usize) {
         // analyze:acquire(enum.gate) analyze:release(enum.gate)
-        self.lock().head = task;
+        self.lock().head = run;
         self.cv.notify_all();
     }
 
@@ -718,9 +747,13 @@ struct InFlight {
     send: LocalId,
 }
 
-/// Node records an explorer has buffered since its last flush.
+/// Node records an explorer has buffered since its last flush, and
+/// where each leaf finished among them.
 struct BatchBuf {
     nodes: Vec<NodeRec>,
+    /// The end of every leaf finished since the last flush (workers
+    /// only: the one-shard path flushes at each leaf's end instead).
+    ends: Vec<LeafEnd>,
     /// Partition-table entries already handed out by earlier flushes.
     defs_sent: usize,
     limit: usize,
@@ -730,6 +763,7 @@ impl BatchBuf {
     fn new(limit: usize) -> Self {
         BatchBuf {
             nodes: Vec::new(),
+            ends: Vec::new(),
             defs_sent: 0,
             limit: limit.max(1),
         }
@@ -738,8 +772,8 @@ impl BatchBuf {
 
 /// Where an explorer's buffered records go: called with the
 /// partition-table entries added since the previous flush and the
-/// records, which the sink takes or clears.
-type Sink<'s> = dyn FnMut(&[EventDef], &mut Vec<NodeRec>) + 's;
+/// buffer, whose records and leaf ends the sink takes or clears.
+type Sink<'s> = dyn FnMut(&[EventDef], &mut BatchBuf) + 's;
 
 /// Protocol-side depth-first explorer with per-process action caching
 /// and **partition-local event interning**: every event it touches gets
@@ -753,6 +787,8 @@ type Sink<'s> = dyn FnMut(&[EventDef], &mut Vec<NodeRec>) + 's;
 struct Explorer<'a, P: ?Sized> {
     protocol: &'a P,
     budget: &'a Budget,
+    /// Nodes explored since the last charge to `budget`.
+    uncharged: usize,
     max_events: usize,
     views: Vec<LocalView>,
     in_flight: Vec<InFlight>,
@@ -778,6 +814,7 @@ impl<'a, P: Protocol + ?Sized> Explorer<'a, P> {
         Explorer {
             protocol,
             budget,
+            uncharged: 0,
             max_events,
             views,
             in_flight: Vec::new(),
@@ -915,13 +952,17 @@ impl<'a, P: Protocol + ?Sized> Explorer<'a, P> {
     /// Explores the subtree below the current node (at `depth`) in
     /// pre-order, pushing one record per node into `buf` and handing
     /// every full buffer to `sink`. The caller flushes the final, partial
-    /// buffer with [`Explorer::flush`].
+    /// buffer with [`Explorer::flush`] and charges the nodes still
+    /// uncounted with [`Explorer::settle`].
     fn explore(&mut self, depth: usize, buf: &mut BatchBuf, sink: &mut Sink<'_>) -> Result<(), ()> {
         if depth >= self.max_events {
             return Ok(());
         }
         self.for_each_child(|ex, local| {
-            ex.budget.charge()?;
+            ex.uncharged += 1;
+            if ex.uncharged == CHARGE_CHUNK {
+                ex.settle()?;
+            }
             buf.nodes.push(NodeRec {
                 depth: (depth + 1) as u32,
                 local,
@@ -933,11 +974,25 @@ impl<'a, P: Protocol + ?Sized> Explorer<'a, P> {
         })
     }
 
+    /// Charges the budget for the nodes explored since the last charge.
+    fn settle(&mut self) -> Result<(), ()> {
+        self.budget.charge(std::mem::take(&mut self.uncharged))
+    }
+
+    /// Marks the end of the current leaf's output: its records and
+    /// partition entries end where the buffer and the table stand now.
+    fn end_leaf(&self, buf: &mut BatchBuf) {
+        buf.ends.push(LeafEnd {
+            nodes: buf.nodes.len(),
+            defs: self.defs.len() - buf.defs_sent,
+        });
+    }
+
     /// Hands `sink` the buffered records together with the
     /// partition-table entries added since the previous flush (which the
     /// records may reference).
     fn flush(&self, buf: &mut BatchBuf, sink: &mut Sink<'_>) {
-        sink(&self.defs[buf.defs_sent..], &mut buf.nodes);
+        sink(&self.defs[buf.defs_sent..], buf);
         buf.defs_sent = self.defs.len();
     }
 
@@ -1130,8 +1185,8 @@ impl Merger {
         }
     }
 
-    /// Consumes one batch: renumbers its partition-table run, then
-    /// replays its node records.
+    /// Consumes one stretch of a partition's output: renumbers its
+    /// partition-table entries, then replays its node records.
     fn consume(&mut self, defs: &[EventDef], nodes: &[NodeRec], map: &mut Vec<EventId>) {
         {
             let _renumber = hpl_telemetry::span("enum.renumber");
@@ -1226,7 +1281,7 @@ impl MergeMetrics {
 
     /// Accounts a batch parked in the reorder buffer (finished out of
     /// splice order).
-    fn on_buffer(&mut self, batch: &TaskBatch) {
+    fn on_buffer(&mut self, batch: &RunBatch) {
         self.buffered_now += batch.approx_bytes();
         self.peak_buffered = self.peak_buffered.max(self.buffered_now);
         if hpl_telemetry::enabled() {
@@ -1235,95 +1290,211 @@ impl MergeMetrics {
         }
     }
 
-    fn on_unbuffer(&mut self, batch: &TaskBatch) {
+    fn on_unbuffer(&mut self, batch: &RunBatch) {
         self.buffered_now -= batch.approx_bytes();
     }
 }
 
-#[allow(clippy::too_many_arguments)] // one call site; a worker is exactly this context
-fn worker_loop<P: Protocol + ?Sized>(
-    protocol: &P,
+/// What the workers share: the leaf paths, the runs cut from them, the
+/// index of the next unclaimed run, and the budget and gate every run
+/// answers to.
+struct Pool<'a, P: ?Sized> {
+    protocol: &'a P,
     max_events: usize,
     batch_nodes: usize,
-    budget: &Budget,
-    gate: &ReorderGate,
-    queue: &Mutex<channel::Receiver<Task>>,
-    pending: &AtomicUsize,
-    results: &Sender<(usize, TaskBatch)>,
-) {
-    loop {
-        // the queue guard is a statement temporary — dropped at the `;`,
-        // before any enumeration work, and `try_recv` never blocks
-        // analyze:acquire(enum.task_queue) analyze:release(enum.task_queue)
-        let Some(task) = queue.lock().try_recv() else {
-            return;
-        };
-        // work-queue depth as observed at each pull (telemetry only)
-        let depth = pending.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
-        hpl_telemetry::record("enum.queue_depth", depth as u64);
+    budget: &'a Budget,
+    gate: &'a ReorderGate,
+    leaf_paths: &'a [Vec<StepDesc>],
+    /// Run `r` covers leaves `bounds[r]..bounds[r + 1]`.
+    bounds: &'a [usize],
+    /// The next unclaimed run: workers claim runs in splice order.
+    next: AtomicUsize,
+}
+
+impl<P: Protocol + ?Sized> Pool<'_, P> {
+    /// One worker: claims runs until none is left and ships their
+    /// batches to `results`.
+    fn work(&self, results: &Sender<(usize, RunBatch)>) {
+        let runs = self.bounds.len() - 1;
+        loop {
+            // Relaxed: the index publishes nothing; the leaf paths and run
+            // bounds it points into were written before the workers spawned
+            let run = self.next.fetch_add(1, Ordering::Relaxed);
+            if run >= runs {
+                return;
+            }
+            // runs still unclaimed, as observed at each claim (telemetry only)
+            hpl_telemetry::record("enum.queue_depth", (runs - run - 1) as u64);
+            if self.explore_run(run, results).is_err() {
+                // budget exhausted or sibling failure; the error is recorded.
+                // Open the gate so siblings blocked on credits can drain and
+                // observe the abort themselves.
+                self.gate.shutdown();
+                return;
+            }
+        }
+    }
+
+    /// Explores one run's leaves in order with one explorer and one id
+    /// partition, moving between them with `goto`. Every full buffer
+    /// ships as a batch, and so does the last one once the run's nodes
+    /// are charged.
+    fn explore_run(&self, run: usize, results: &Sender<(usize, RunBatch)>) -> Result<(), ()> {
         let _explore = hpl_telemetry::span("enum.explore");
-        let mut ex = Explorer::new(protocol, max_events, budget);
-        ex.goto(&task.path);
-        let ship = |defs: &[EventDef], nodes: &mut Vec<NodeRec>, last: bool| {
+        let mut ex = Explorer::new(self.protocol, self.max_events, self.budget);
+        let mut buf = BatchBuf::new(self.batch_nodes);
+        let mut ship = |defs: &[EventDef], buf: &mut BatchBuf| {
             // the reorder-buffer credit: blocks while the buffer is at
-            // capacity and the merge is splicing another task
+            // capacity and the merge is splicing another run
             // analyze:blocking(enum.gate)
-            let credited = gate.admit(task.id);
-            let batch = TaskBatch {
+            let credited = self.gate.admit(run);
+            let batch = RunBatch {
                 defs: defs.to_vec(),
-                nodes: std::mem::take(nodes),
-                last,
+                nodes: std::mem::take(&mut buf.nodes),
+                ends: std::mem::take(&mut buf.ends),
                 credited,
             };
             // the coordinator outlives the workers; a send failure means
-            // the run is being torn down
-            let _ = results.send((task.id, batch));
+            // the build is being torn down
+            let _ = results.send((run, batch));
         };
-        let mut buf = BatchBuf::new(batch_nodes);
-        if ex
-            .explore(task.path.len(), &mut buf, &mut |d, n| ship(d, n, false))
-            .is_err()
-        {
-            // budget exhausted or sibling failure; the error is recorded.
-            // Open the gate so siblings blocked on credits can drain and
-            // observe the abort themselves.
-            gate.shutdown();
-            return;
+        for path in &self.leaf_paths[self.bounds[run]..self.bounds[run + 1]] {
+            ex.goto(path);
+            ex.explore(path.len(), &mut buf, &mut ship)?;
+            ex.end_leaf(&mut buf);
         }
-        ex.flush(&mut buf, &mut |d, n| ship(d, n, true));
+        ex.settle()?;
+        ex.flush(&mut buf, &mut ship);
+        Ok(())
     }
 }
 
-/// Splices one task's streamed batches into the merge: pulls from the
-/// reorder buffer first, then the live result channel (parking batches
-/// of other tasks), until the task's `last` batch has been consumed.
-/// `Err` means the workers vanished without finishing — a budget abort.
-#[allow(clippy::too_many_arguments)] // exactly the merge-side context
-fn consume_task_batches(
-    merger: &mut Merger,
-    id: usize,
-    metrics: &mut MergeMetrics,
-    gate: &ReorderGate,
-    res_rx: &channel::Receiver<(usize, TaskBatch)>,
-    parked: &mut HashMap<usize, VecDeque<TaskBatch>>,
-    task_map: &mut Vec<EventId>,
-    budget: &Budget,
-) -> Result<(), ()> {
-    task_map.clear();
-    gate.set_head(id);
-    loop {
-        let batch = match parked.get_mut(&id).and_then(VecDeque::pop_front) {
+/// A batch the merge is reading, and how far: the records and entries
+/// consumed so far and the leaf ends passed.
+struct Reading {
+    batch: RunBatch,
+    at: LeafEnd,
+    ends_passed: usize,
+}
+
+/// The merge's side of the worker pool. [`drive`] calls
+/// [`Splicer::splice_leaf`] at every leaf in splice order, and the
+/// splicer renumbers and replays exactly that leaf's segment of its
+/// run's batches. Renumbering a whole batch at its first leaf would be
+/// wrong: a later leaf's path and subtree events would intern before
+/// those of a dead-end frontier branch between the two leaves, and move
+/// their ids.
+struct Splicer<'a> {
+    /// Run `r` covers leaves `bounds[r]..bounds[r + 1]`.
+    bounds: &'a [usize],
+    gate: &'a ReorderGate,
+    budget: &'a Budget,
+    results: Receiver<(usize, RunBatch)>,
+    /// Reorder buffer, per run: batches that arrived ahead of their
+    /// splice point. This — not the node count — is the merge's peak
+    /// memory; every parked batch holds a gate credit, so it never
+    /// exceeds `max_buffered_batches`.
+    parked: Vec<VecDeque<RunBatch>>,
+    /// The run being spliced and its partition's renumbering map.
+    run: usize,
+    map: Vec<EventId>,
+    reading: Option<Reading>,
+}
+
+impl<'a> Splicer<'a> {
+    fn new(
+        bounds: &'a [usize],
+        gate: &'a ReorderGate,
+        budget: &'a Budget,
+        results: Receiver<(usize, RunBatch)>,
+    ) -> Self {
+        Splicer {
+            bounds,
+            gate,
+            budget,
+            results,
+            parked: std::iter::repeat_with(VecDeque::new)
+                .take(bounds.len() - 1)
+                .collect(),
+            run: 0,
+            map: Vec::new(),
+            reading: None,
+        }
+    }
+
+    /// Splices leaf `leaf`'s records into the merge: renumbers the
+    /// partition entries its run added for it, then replays its
+    /// records, reading on into the run's next batch while the leaf
+    /// goes on. `Err` means the workers vanished without finishing — a
+    /// budget abort.
+    fn splice_leaf(
+        &mut self,
+        merger: &mut Merger,
+        leaf: usize,
+        metrics: &mut MergeMetrics,
+    ) -> Result<(), ()> {
+        if leaf == self.bounds[self.run + 1] {
+            self.run += 1;
+        }
+        if leaf == self.bounds[self.run] {
+            // a run's first leaf: a fresh partition, read from the top
+            self.map.clear();
+            self.reading = None;
+            self.gate.set_head(self.run);
+        }
+        loop {
+            let reading = match &mut self.reading {
+                Some(reading) => reading,
+                None => {
+                    let batch = self.take(merger, metrics)?;
+                    self.reading.insert(Reading {
+                        batch,
+                        at: LeafEnd::default(),
+                        ends_passed: 0,
+                    })
+                }
+            };
+            let batch = &reading.batch;
+            let end = batch.ends.get(reading.ends_passed).copied();
+            let stop = end.unwrap_or(LeafEnd {
+                nodes: batch.nodes.len(),
+                defs: batch.defs.len(),
+            });
+            // analyze:allow(wall-clock) merge_wall metric; timing only, output-invariant
+            let t = Instant::now();
+            merger.consume(
+                &batch.defs[reading.at.defs..stop.defs],
+                &batch.nodes[reading.at.nodes..stop.nodes],
+                &mut self.map,
+            );
+            metrics.merge_wall += t.elapsed();
+            if end.is_some() {
+                reading.at = stop;
+                reading.ends_passed += 1;
+                return Ok(());
+            }
+            // the leaf goes on in its run's next batch
+            self.reading = None;
+        }
+    }
+
+    /// Takes the next batch of the run being spliced — from the reorder
+    /// buffer if it arrived early, else from the live result channel,
+    /// parking other runs' batches that arrive first — and returns its
+    /// credit or head slot to the gate.
+    fn take(&mut self, merger: &mut Merger, metrics: &mut MergeMetrics) -> Result<RunBatch, ()> {
+        let batch = match self.parked[self.run].pop_front() {
             Some(b) => {
                 metrics.on_unbuffer(&b);
                 b
             }
             None => loop {
                 // analyze:blocking(enum.results)
-                match res_rx.recv() {
-                    Ok((t, b)) if t == id => break b,
-                    Ok((t, b)) => {
+                match self.results.recv() {
+                    Ok((run, b)) if run == self.run => break b,
+                    Ok((run, b)) => {
                         metrics.on_buffer(&b);
-                        parked.entry(t).or_default().push_back(b);
+                        self.parked[run].push_back(b);
                     }
                     // workers gone without finishing: budget abort
                     Err(_) => return Err(()),
@@ -1332,29 +1503,23 @@ fn consume_task_batches(
         };
         metrics.on_consume(batch.approx_bytes());
         if batch.credited {
-            gate.release();
+            self.gate.release();
         } else {
-            gate.release_head();
+            self.gate.release_head();
         }
-        let last = batch.last;
-        // analyze:allow(wall-clock) merge_wall metric; timing only, output-invariant
-        let t = Instant::now();
-        merger.forecast(budget.explored.load(Ordering::Relaxed));
-        merger.consume(&batch.defs, &batch.nodes, task_map);
-        metrics.merge_wall += t.elapsed();
-        if last {
-            return Ok(());
-        }
+        merger.forecast(self.budget.explored.load(Ordering::Relaxed));
+        Ok(batch)
     }
 }
 
 /// Enumerates every system computation of `protocol` (depth-bounded, like
 /// [`enumerate`](crate::enumerate::enumerate)) using `config.shards`
-/// worker threads, per-task id partitions and a streaming deterministic
+/// worker threads, per-run id partitions and a streaming deterministic
 /// merge. The tree down to the split depth is grown on the calling
 /// thread from the empty frontier and checkpointed; that prefix frontier
-/// is then extended to the horizon exactly as [`extend_sharded`] would,
-/// with its leaves as the worker tasks.
+/// is then extended to the horizon exactly as [`extend_sharded`] would:
+/// its leaves are cut into contiguous runs, a few per shard, and each
+/// run is one worker task.
 ///
 /// Outside quotient mode the result is byte-identical to the sequential
 /// engine for every shard count, split depth and batch size: same
@@ -1399,7 +1564,7 @@ pub fn enumerate_sharded<P: Protocol + Sync + ?Sized>(
     limits: EnumerationLimits,
     config: &ShardConfig,
 ) -> Result<ShardedEnumeration, CoreError> {
-    // Default split: deep enough to produce many more tasks than shards
+    // Default split: deep enough to produce many more leaves than shards
     // on branchy protocols, shallow enough that the prefix stays
     // negligible.
     let split = config.split_depth.unwrap_or(3).min(limits.max_events);
@@ -1619,9 +1784,12 @@ fn drive(
 }
 
 /// Grows `frontier` to the horizon `limits.max_events`: replays its
-/// journal through a fresh merge and explores below its leaf cut, one
-/// task per leaf. The caller has checked that the frontier fits the
-/// protocol and the config's merge mode.
+/// journal through a fresh merge and explores below its leaf cut. With
+/// several shards the cut is split into [`RUNS_PER_SHARD`] runs of
+/// consecutive leaves per shard, one worker task each; with one shard
+/// (or one leaf) a single explorer walks every leaf on the calling
+/// thread. The caller has checked that the frontier fits the protocol
+/// and the config's merge mode.
 fn grow<P: Protocol + Sync + ?Sized>(
     protocol: &P,
     frontier: &Frontier,
@@ -1653,12 +1821,12 @@ fn grow<P: Protocol + Sync + ?Sized>(
     } else {
         Vec::new()
     };
-    let tasks = leaf_paths.len();
+    let leaves = leaf_paths.len();
 
-    if shards == 1 || tasks <= 1 {
+    let tasks = if shards == 1 || leaves <= 1 {
         // One shard: a single explorer visits the leaves in splice order
         // (moving between them with `goto`, not root replay) with one id
-        // partition for the whole run, and every buffer it fills is
+        // partition for the whole build, and every buffer it fills is
         // merged on the spot — renumbered in one pass and replayed from
         // the reused buffer, so nothing is parked or allocated per leaf.
         let mut ex = Explorer::new(protocol, limits.max_events, &budget);
@@ -1667,7 +1835,7 @@ fn grow<P: Protocol + Sync + ?Sized>(
         let _merge = hpl_telemetry::span("enum.merge");
         let _ = drive(
             frontier,
-            tasks > 0,
+            leaves > 0,
             &mut merger,
             &mut metrics,
             &mut growth,
@@ -1675,87 +1843,65 @@ fn grow<P: Protocol + Sync + ?Sized>(
                 let _explore = hpl_telemetry::span("enum.explore");
                 let path = &leaf_paths[leaf];
                 ex.goto(path);
-                let mut consume = |defs: &[EventDef], nodes: &mut Vec<NodeRec>| {
-                    metrics.on_consume(batch_bytes(defs, nodes));
+                let mut consume = |defs: &[EventDef], buf: &mut BatchBuf| {
+                    metrics.on_consume(batch_bytes(defs, &buf.nodes));
                     // analyze:allow(wall-clock) merge_wall metric; timing only, output-invariant
                     let t = Instant::now();
                     merger.forecast(budget.explored.load(Ordering::Relaxed));
-                    merger.consume(defs, nodes, &mut map);
-                    nodes.clear();
+                    merger.consume(defs, &buf.nodes, &mut map);
+                    buf.nodes.clear();
                     metrics.merge_wall += t.elapsed();
                 };
                 ex.explore(path.len(), &mut buf, &mut consume)?;
                 ex.flush(&mut buf, &mut consume);
                 Ok(())
             },
-        );
+        )
+        .and_then(|()| ex.settle());
+        usize::from(leaves > 0)
     } else {
-        // Several shards: the leaves are queued in splice order and the
-        // worker pool explores them (each replaying its leaf path into a
-        // fresh partition) while the merge interleaves replayed frontier
-        // records with each task's streamed batches.
-        let (task_tx, task_rx) = channel::unbounded();
-        for (id, path) in leaf_paths.into_iter().enumerate() {
-            task_tx.send(Task { id, path }).expect("receiver alive");
-        }
-        drop(task_tx);
-        let pending = AtomicUsize::new(tasks);
-        // the vendored crossbeam stand-in wraps std::sync::mpsc, whose
-        // receiver is single-consumer — the mutex is what makes the
-        // queue multi-consumer (real crossbeam receivers are MPMC and
-        // would not need it)
-        let queue = Mutex::new(task_rx);
+        // Several shards: the leaves are cut into contiguous runs, and
+        // workers claim runs in splice order, exploring each with one
+        // explorer and one fresh partition, while the merge interleaves
+        // replayed frontier records with each leaf's stretch of its
+        // run's batches.
+        let runs = leaves.min(shards.saturating_mul(RUNS_PER_SHARD));
+        let bounds: Vec<usize> = (0..=runs).map(|r| r * leaves / runs).collect();
         let gate = ReorderGate::new(config.max_buffered_batches);
-        let (res_tx, res_rx) = channel::unbounded::<(usize, TaskBatch)>();
+        let pool = Pool {
+            protocol,
+            max_events: limits.max_events,
+            batch_nodes: config.batch_nodes,
+            budget: &budget,
+            gate: &gate,
+            leaf_paths: &leaf_paths,
+            bounds: &bounds,
+            next: AtomicUsize::new(0),
+        };
+        let (res_tx, res_rx) = channel::unbounded();
+        let mut splicer = Splicer::new(&bounds, &gate, &budget, res_rx);
         std::thread::scope(|s| {
-            for _ in 0..shards {
+            for _ in 0..shards.min(runs) {
                 let res_tx = res_tx.clone();
-                let (queue, budget, gate, pending) = (&queue, &budget, &gate, &pending);
-                s.spawn(move || {
-                    worker_loop(
-                        protocol,
-                        limits.max_events,
-                        config.batch_nodes,
-                        budget,
-                        gate,
-                        queue,
-                        pending,
-                        &res_tx,
-                    );
-                });
+                let pool = &pool;
+                s.spawn(move || pool.work(&res_tx));
             }
             drop(res_tx);
             let _merge = hpl_telemetry::span("enum.merge");
-            // Reorder buffer: batches of tasks that finished ahead of
-            // their splice point. This — not the node count — is the
-            // merge's peak memory; every parked batch holds a gate
-            // credit, so it never exceeds `max_buffered_batches`.
-            let mut parked: HashMap<usize, VecDeque<TaskBatch>> = HashMap::new();
-            let mut task_map: Vec<EventId> = Vec::new();
             let _ = drive(
                 frontier,
                 true,
                 &mut merger,
                 &mut metrics,
                 &mut growth,
-                |merger, leaf, metrics| {
-                    consume_task_batches(
-                        merger,
-                        leaf,
-                        metrics,
-                        &gate,
-                        &res_rx,
-                        &mut parked,
-                        &mut task_map,
-                        &budget,
-                    )
-                },
+                |merger, leaf, metrics| splicer.splice_leaf(merger, leaf, metrics),
             );
             // teardown: wake any worker still blocked on a credit
             // (normal completion leaves none; abort paths may)
             gate.shutdown();
         });
-    }
+        runs
+    };
 
     let explored = budget.explored.load(Ordering::Relaxed).min(budget.max);
     if let Some(e) = budget.into_error() {
@@ -2042,33 +2188,159 @@ mod tests {
         assert!(out.stats.merge_wall_ms >= 0.0);
     }
 
+    /// The one action after which nothing is enabled in [`DeadEnds`].
+    const DEAD: u32 = 9;
+
+    /// One process that may stop dead at every step: below the horizon
+    /// each view offers a continuing step, a dead end and a second
+    /// continuing step, in that order. So between every two groups of
+    /// leaf-cut siblings the frontier has a dead-end branch above the
+    /// cut, and with one process every edge is an event of its own: a
+    /// from-scratch build interns the dead end's event between the two
+    /// groups' events.
+    struct DeadEnds;
+    impl Protocol for DeadEnds {
+        fn system_size(&self) -> usize {
+            1
+        }
+        fn actions(&self, _p: ProcessId, view: &LocalView) -> Vec<ProtoAction> {
+            let dead = LocalStep::Did {
+                action: ActionId::new(DEAD),
+            };
+            if view.last() == Some(dead) {
+                return vec![];
+            }
+            [0, DEAD, 1]
+                .map(|a| ProtoAction::Internal {
+                    action: ActionId::new(a),
+                })
+                .to_vec()
+        }
+    }
+
     #[test]
-    fn extensions_count_a_batch_per_leaf() {
-        // an extension's leaves are its tasks, and every leaf's records
-        // reach the merge as at least one batch — at one shard, where
-        // they are merged the moment they are explored, too
+    fn runs_splice_each_leaf_past_dead_end_branches() {
+        // one batch per run (batch_nodes = usize::MAX) spans every leaf
+        // of the run, and dead-end branches above the cut lie between
+        // leaves of one run: each leaf's entries must be renumbered only
+        // when the merge reaches that leaf, or event ids move
+        let split = 6;
+        let limits = EnumerationLimits::depth(9);
+        let cfg = ShardConfig {
+            split_depth: Some(split),
+            ..ShardConfig::with_shards(2)
+        }
+        .batch_nodes(usize::MAX);
+        let out = enumerate_sharded(&DeadEnds, limits, &cfg).unwrap();
+        let seq = enumerate(&DeadEnds, limits).unwrap();
+        assert_identical(&out.universe, &seq);
+        // 2^6 continuing and 2^5 dead-end leaves; a run of four or more
+        // leaves crosses a dead end above the cut, since one lies after
+        // every third leaf
+        let leaves = 96;
+        assert!(out.stats.tasks * 4 <= leaves, "{} runs", out.stats.tasks);
+        assert_eq!(out.stats.batches, out.stats.tasks);
+    }
+
+    #[test]
+    fn runs_cap_tasks_and_batches_deterministically() {
+        // a one-level extension of a frontier with many leaves: a few
+        // runs per shard, fewer batches than leaves, and counts that
+        // repeat exactly whatever the schedule
         let p = SymmetricClocks { n: 3, k: 3 };
-        for shards in [1usize, 2] {
+        let one = ShardConfig::with_shards(1).checkpoint().quotient();
+        let base = enumerate_sharded(&p, EnumerationLimits::depth(5), &one).unwrap();
+        let frontier = base.frontier.as_ref().unwrap();
+        let leaves = frontier.leaf_count();
+        assert_eq!(leaves, 210);
+        for shards in [2usize, 8] {
             let cfg = ShardConfig::with_shards(shards).checkpoint().quotient();
-            let base = enumerate_sharded(&p, EnumerationLimits::depth(3), &cfg).unwrap();
-            let grown = extend_sharded(
-                &p,
-                base.frontier.as_ref().unwrap(),
-                EnumerationLimits::depth(5),
-                &cfg,
-            )
-            .unwrap();
-            let stats = grown.stats;
-            assert!(stats.tasks > 1, "{shards} shards: {} tasks", stats.tasks);
+            let counts: Vec<(usize, usize, usize)> = (0..3)
+                .map(|_| {
+                    let s = extend_sharded(&p, frontier, EnumerationLimits::depth(6), &cfg)
+                        .unwrap()
+                        .stats;
+                    assert!(
+                        s.tasks <= RUNS_PER_SHARD * shards,
+                        "{shards}: {} tasks",
+                        s.tasks
+                    );
+                    assert!(s.batches < leaves, "{shards}: {} batches", s.batches);
+                    (s.batches, s.explored, s.unique)
+                })
+                .collect();
             assert!(
-                stats.batches >= stats.tasks,
-                "{shards} shards: {} batches for {} tasks",
-                stats.batches,
-                stats.tasks
+                counts.iter().all(|c| *c == counts[0]),
+                "{shards} shards: {counts:?}"
             );
-            if shards == 1 {
-                assert_eq!(stats.peak_buffered_bytes, stats.largest_batch_bytes);
-                assert!(stats.largest_batch_bytes > 0);
+        }
+        // at one shard every leaf's records are merged as they are
+        // explored, and each leaf's flush counts as a batch
+        let grown = extend_sharded(&p, frontier, EnumerationLimits::depth(6), &one).unwrap();
+        assert_eq!(grown.stats.tasks, 1);
+        assert!(grown.stats.batches >= leaves);
+        assert_eq!(
+            grown.stats.peak_buffered_bytes,
+            grown.stats.largest_batch_bytes
+        );
+        assert!(grown.stats.largest_batch_bytes > 0);
+    }
+
+    #[test]
+    fn budget_trips_exactly_past_the_tree_size() {
+        // a tree of N nodes (the root included) builds at
+        // max_computations = N and fails at N - 1, however the explorers
+        // charge the budget: per run, per chunk, from scratch or grown
+        let limits = |max_events, max_computations| EnumerationLimits {
+            max_events,
+            max_computations,
+        };
+        let trips = |r: Result<ShardedEnumeration, CoreError>, max: usize| {
+            assert!(matches!(
+                r,
+                Err(CoreError::EnumerationBudgetExceeded { max_computations }) if max_computations == max
+            ));
+        };
+        let p = Clocks { n: 3, k: 2 };
+        assert_eq!(enumerate(&p, limits(6, 271)).unwrap().universe().len(), 271);
+        assert!(matches!(
+            enumerate(&p, limits(6, 270)),
+            Err(CoreError::EnumerationBudgetExceeded { .. })
+        ));
+        for shards in [1usize, 2, 8] {
+            for batch in [1, usize::MAX] {
+                for split in [Some(1), None] {
+                    let cfg = ShardConfig {
+                        split_depth: split,
+                        ..ShardConfig::with_shards(shards)
+                    }
+                    .batch_nodes(batch);
+                    let out = enumerate_sharded(&p, limits(6, 271), &cfg).unwrap();
+                    assert_eq!(out.stats.explored, 271);
+                    trips(enumerate_sharded(&p, limits(6, 270), &cfg), 270);
+                }
+            }
+        }
+        let ck = ShardConfig::with_shards(1).checkpoint();
+        let base = enumerate_sharded(&p, EnumerationLimits::depth(3), &ck).unwrap();
+        let frontier = base.frontier.as_ref().unwrap();
+        for shards in [1usize, 2, 8] {
+            let cfg = ShardConfig::with_shards(shards).checkpoint();
+            let grown = extend_sharded(&p, frontier, limits(6, 271), &cfg).unwrap();
+            assert_eq!(grown.stats.explored, 271);
+            trips(extend_sharded(&p, frontier, limits(6, 270), &cfg), 270);
+        }
+        // a tree of several chunks: explorers charge whole chunks too
+        let p = Clocks { n: 3, k: 3 };
+        for shards in [1usize, 2] {
+            for split in [Some(1), None] {
+                let cfg = ShardConfig {
+                    split_depth: split,
+                    ..ShardConfig::with_shards(shards)
+                };
+                let out = enumerate_sharded(&p, limits(9, 5248), &cfg).unwrap();
+                assert_eq!(out.stats.explored, 5248);
+                trips(enumerate_sharded(&p, limits(9, 5247), &cfg), 5247);
             }
         }
     }
@@ -2231,9 +2503,9 @@ mod tests {
         }
     }
 
-    /// Adversarial reorder-buffer schedule: the worker that pulls the
-    /// first (splice-order head) task stalls, while the other worker
-    /// races through the many later tasks. Without the credit gate the
+    /// Adversarial reorder-buffer schedule: the worker that claims the
+    /// first (splice-order head) run stalls, while the other worker
+    /// races through the many later runs. Without the credit gate the
     /// merge would park every one of those batches; with it, parked
     /// batches can never exceed `max_buffered_batches`.
     struct SlowFirstWorker {
@@ -2259,9 +2531,9 @@ mod tests {
             self.n
         }
         fn actions(&self, _p: ProcessId, view: &LocalView) -> Vec<ProtoAction> {
-            // the first worker-thread call stalls: tasks are pulled in
+            // the first worker-thread call stalls: runs are claimed in
             // splice order, so with high probability this is the worker
-            // replaying task 0 — the exact schedule that used to grow
+            // replaying run 0 — the exact schedule that used to grow
             // the reorder buffer without bound. (The *assertions* below
             // are schedule-independent; the stall only makes the
             // adversarial case the one actually exercised.)
@@ -2366,7 +2638,8 @@ mod tests {
         };
         let out =
             enumerate_sharded(&Clocks { n: 2, k: 2 }, EnumerationLimits::depth(4), &cfg).unwrap();
-        // frontier at depth 1: one internal step per process → 2 tasks
+        // frontier at depth 1: one internal step per process → 2 leaves,
+        // one run each
         assert_eq!(out.stats.tasks, 2);
         assert_eq!(out.stats.shards, 2);
     }

@@ -11,6 +11,7 @@ use rand::{RngExt, SeedableRng};
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::sync::OnceLock;
 
 /// Action tag recorded in the trace when a node crashes.
 pub const CRASH_ACTION: ActionId = ActionId::new(0x7fff_ffff);
@@ -136,7 +137,7 @@ impl SimulationBuilder {
             message_tags: HashMap::new(),
             fifo_horizon: HashMap::new(),
             stats: SimStats::default(),
-            tele: SimTele::new(),
+            tele: SimTele::get(),
         };
         for i in 0..sim.nodes.len() {
             sim.push(SimTime::ZERO, QueueItem::Start(ProcessId::new(i)));
@@ -172,12 +173,15 @@ pub struct Simulation {
     message_tags: HashMap<MessageId, u32>,
     fifo_horizon: HashMap<(usize, usize), SimTime>,
     stats: SimStats,
-    tele: SimTele,
+    tele: &'static SimTele,
 }
 
 /// Cached global-recorder counter handles mirroring [`SimStats`]: the
 /// recorder is the one aggregated reporting path across runs, while
-/// `SimStats` stays the exact per-run view.
+/// `SimStats` stays the exact per-run view. The handles are resolved
+/// once per process, so building a simulation takes no registry lock;
+/// they stay valid because `reset` zeroes counters in place and
+/// `set_enabled` flips the flag every handle shares.
 #[derive(Debug)]
 struct SimTele {
     sent: hpl_telemetry::Counter,
@@ -189,15 +193,16 @@ struct SimTele {
 }
 
 impl SimTele {
-    fn new() -> Self {
-        SimTele {
+    fn get() -> &'static SimTele {
+        static TELE: OnceLock<SimTele> = OnceLock::new();
+        TELE.get_or_init(|| SimTele {
             sent: hpl_telemetry::counter("sim.sent"),
             delivered: hpl_telemetry::counter("sim.delivered"),
             dropped: hpl_telemetry::counter("sim.dropped"),
             partition_dropped: hpl_telemetry::counter("sim.partition_dropped"),
             timers_fired: hpl_telemetry::counter("sim.timers_fired"),
             internal_events: hpl_telemetry::counter("sim.internal_events"),
-        }
+        })
     }
 }
 
